@@ -141,11 +141,21 @@ impl TInvariant {
         }
     }
 
-    /// Verifies `C·x = 0` against a net.
+    /// Verifies `C·x = 0` against a net, in `O(arcs)` over the presets
+    /// and postsets of the support.
+    ///
+    /// # Panics
+    /// Panics if the invariant's length differs from the number of
+    /// transitions.
     pub fn is_valid_for(&self, net: &PetriNet) -> bool {
-        let c = incidence_matrix(net);
-        let x: Vec<i64> = self.counts.iter().map(|&v| v as i64).collect();
-        c.apply(&x).iter().all(|&v| v == 0)
+        assert_eq!(self.counts.len(), net.num_transitions());
+        let support = self.support();
+        let lines = transition_lines(net, &support);
+        let terms = lines
+            .iter()
+            .zip(&support)
+            .map(|(line, t)| (line.as_slice(), self.count(*t)));
+        annuls(terms, &mut vec![0; net.num_places()])
     }
 }
 
@@ -211,15 +221,16 @@ impl PInvariant {
             .sum()
     }
 
-    /// Verifies `yᵀ·C = 0` against a net.
+    /// Verifies `yᵀ·C = 0` against a net, in `O(arcs)`.
     pub fn is_valid_for(&self, net: &PetriNet) -> bool {
-        let c = incidence_matrix(net);
-        net.transition_ids().all(|t| {
-            net.place_ids()
-                .map(|p| self.weights[p.index()] as i64 * c.entry(p, t))
-                .sum::<i64>()
-                == 0
-        })
+        let all: Vec<TransitionId> = net.transition_ids().collect();
+        let lines = place_lines(&transition_lines(net, &all), net.num_places());
+        let terms = lines
+            .iter()
+            .zip(&self.weights[..net.num_places()])
+            .filter(|(_, &w)| w > 0)
+            .map(|(line, &w)| (line.as_slice(), w));
+        annuls(terms, &mut vec![0; net.num_transitions()])
     }
 }
 
@@ -231,131 +242,290 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-fn normalize(row: &mut [i64]) {
-    let g = row
-        .iter()
-        .map(|v| v.unsigned_abs())
-        .filter(|&v| v != 0)
-        .fold(0u64, gcd);
-    if g > 1 {
-        for v in row.iter_mut() {
-            *v /= g as i64;
-        }
-    }
-}
-
-/// One working row of the Farkas elimination, stored sparsely as sorted
-/// `(column, value)` pairs with zero values elided. Columns `0..np` carry
-/// the residual `C·x` restricted to the row's combination, columns
-/// `np..np+nt` the accumulated firing counts.
+/// A sparse vector as sorted `(column, value)` pairs with zero values
+/// elided: a line of the incidence matrix, or a working row of the
+/// Farkas elimination.
 ///
 /// FlowC-derived nets have incidence columns with 2–4 non-zeros, so a
 /// sparse row is an order of magnitude smaller than its dense `np + nt`
 /// counterpart — and every elimination step (lookup, combine, dedup)
 /// scales with the non-zero count instead of the net size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SparseRow {
-    entries: Vec<(u32, i64)>,
+pub(crate) type SparseRow = Vec<(u32, i64)>;
+
+/// Column `j` of the incidence matrix restricted to `columns`: the
+/// `(place, post − pre)` entries of transition `columns[j]`, built from
+/// its preset and postset.
+fn transition_lines(net: &PetriNet, columns: &[TransitionId]) -> Vec<SparseRow> {
+    columns
+        .iter()
+        .map(|&t| {
+            let mut line: SparseRow = net
+                .preset(t)
+                .iter()
+                .map(|&(p, w)| (p.index() as u32, -(w as i64)))
+                .chain(
+                    net.postset(t)
+                        .iter()
+                        .map(|&(p, w)| (p.index() as u32, w as i64)),
+                )
+                .collect();
+            line.sort_unstable_by_key(|&(p, _)| p);
+            line.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+            line.retain(|&(_, v)| v != 0);
+            line
+        })
+        .collect()
 }
 
-impl SparseRow {
-    /// The value in column `col` (0 if elided).
-    fn get(&self, col: u32) -> i64 {
-        match self.entries.binary_search_by_key(&col, |&(c, _)| c) {
-            Ok(i) => self.entries[i].1,
-            Err(_) => 0,
+/// The same restricted matrix by rows: for every place, its
+/// `(j, post − pre)` entries over the transitions of `transition_lines`.
+fn place_lines(transition_lines: &[SparseRow], np: usize) -> Vec<SparseRow> {
+    let mut lines = vec![SparseRow::new(); np];
+    for (j, line) in transition_lines.iter().enumerate() {
+        for &(p, v) in line {
+            lines[p as usize].push((j as u32, v));
         }
     }
+    lines
+}
 
-    /// `fa·self + fb·other`, merged in one pass over both sorted entry
-    /// lists; resulting zeros are elided.
-    fn combine(&self, fa: i64, other: &SparseRow, fb: i64) -> SparseRow {
-        let mut entries = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() || j < other.entries.len() {
-            let (col, v) = match (self.entries.get(i), other.entries.get(j)) {
-                (Some(&(ca, va)), Some(&(cb, vb))) => {
-                    if ca < cb {
-                        i += 1;
-                        (ca, fa * va)
-                    } else if cb < ca {
-                        j += 1;
-                        (cb, fb * vb)
-                    } else {
-                        i += 1;
-                        j += 1;
-                        (ca, fa * va + fb * vb)
-                    }
-                }
-                (Some(&(ca, va)), None) => {
+/// Whether `Σ x·line` over `terms` is the zero vector: the semiflow
+/// equation checked over a vector's support only, in `O(entries)`.
+/// `residual` is scratch that is all zeros on entry and on return. The
+/// sums wrap, like the dense matrix product of a release build.
+fn annuls<'a>(
+    terms: impl Iterator<Item = (&'a [(u32, i64)], u64)> + Clone,
+    residual: &mut [i64],
+) -> bool {
+    for (line, x) in terms.clone() {
+        for &(c, v) in line {
+            let slot = &mut residual[c as usize];
+            *slot = slot.wrapping_add((x as i64).wrapping_mul(v));
+        }
+    }
+    let mut zero = true;
+    for (line, _) in terms {
+        for &(c, _) in line {
+            zero &= residual[c as usize] == 0;
+            residual[c as usize] = 0;
+        }
+    }
+    zero
+}
+
+/// `line` followed by a unit entry in column `col` (past every column of
+/// `line`): the initial elimination row of one unknown.
+fn unit_row(line: &[(u32, i64)], col: usize) -> SparseRow {
+    let mut row = Vec::with_capacity(line.len() + 1);
+    row.extend_from_slice(line);
+    row.push((col as u32, 1));
+    row
+}
+
+/// The value of `row` in column `col` (0 if elided).
+fn value_at(row: &[(u32, i64)], col: u32) -> i64 {
+    match row.binary_search_by_key(&col, |&(c, _)| c) {
+        Ok(i) => row[i].1,
+        Err(_) => 0,
+    }
+}
+
+/// Writes `fa·a + fb·b` into `out`, merged in one pass over both sorted
+/// entry lists; resulting zeros are elided.
+fn combine_into(a: &[(u32, i64)], fa: i64, b: &[(u32, i64)], fb: i64, out: &mut SparseRow) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let (col, v) = match (a.get(i), b.get(j)) {
+            (Some(&(ca, va)), Some(&(cb, vb))) => {
+                if ca < cb {
                     i += 1;
                     (ca, fa * va)
-                }
-                (None, Some(&(cb, vb))) => {
+                } else if cb < ca {
                     j += 1;
                     (cb, fb * vb)
+                } else {
+                    i += 1;
+                    j += 1;
+                    (ca, fa * va + fb * vb)
                 }
-                (None, None) => unreachable!(),
-            };
-            if v != 0 {
-                entries.push((col, v));
             }
-        }
-        SparseRow { entries }
-    }
-
-    /// Divides every value by the gcd of their absolute values.
-    fn normalize(&mut self) {
-        let g = self
-            .entries
-            .iter()
-            .map(|&(_, v)| v.unsigned_abs())
-            .fold(0u64, gcd);
-        if g > 1 {
-            for (_, v) in self.entries.iter_mut() {
-                *v /= g as i64;
+            (Some(&(ca, va)), None) => {
+                i += 1;
+                (ca, fa * va)
             }
+            (None, Some(&(cb, vb))) => {
+                j += 1;
+                (cb, fb * vb)
+            }
+            (None, None) => unreachable!(),
+        };
+        if v != 0 {
+            out.push((col, v));
         }
-    }
-
-    /// An order-dependent 64-bit fingerprint of the entries. Used to
-    /// bucket rows for deduplication; candidates sharing a fingerprint
-    /// are compared exactly, so a collision can only cost time.
-    fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &(c, v) in &self.entries {
-            h ^= (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            h ^= v as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 }
 
-/// Deduplicating accumulator of the next elimination round: rows bucketed
-/// by fingerprint, exact-compared on fingerprint hits. Replaces the
-/// former `HashSet<Vec<i64>>` of full dense rows, which hashed and stored
-/// every row twice (once in the set, once in the row list).
-#[derive(Default)]
-struct RowSet {
+/// Divides every value by the gcd of their absolute values.
+fn normalize(row: &mut [(u32, i64)]) {
+    let g = row.iter().map(|&(_, v)| v.unsigned_abs()).fold(0u64, gcd);
+    if g > 1 {
+        for (_, v) in row.iter_mut() {
+            *v /= g as i64;
+        }
+    }
+}
+
+/// An order-dependent 64-bit fingerprint of the entries. Used to bucket
+/// rows for deduplication; candidates sharing a fingerprint are compared
+/// exactly, so a collision can only cost time.
+fn fingerprint(row: &[(u32, i64)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &(c, v) in row {
+        h ^= (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h ^= v as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// End of a fingerprint chain in [`RowSlab`].
+const NO_ROW: u32 = u32::MAX;
+
+/// The working rows of one Farkas elimination, in a slab indexed by
+/// creation order.
+///
+/// Creation order is the classical row order: a round keeps its zero
+/// rows in order and appends its new combinations, so the live rows,
+/// read by ascending id, are exactly the row list of the dense
+/// algorithm. The dedup index, the per-column occurrence lists and the
+/// per-column sign counts persist across rounds and change only when a
+/// row is inserted or removed, so a round costs time in proportion to
+/// the rows its pivot touches, not to the row count.
+struct RowSlab {
+    /// Number of leading columns to eliminate.
+    ncols: usize,
+    /// Entries by row id; a round empties its pivot rows when it ends.
     rows: Vec<SparseRow>,
-    by_fingerprint: crate::fx::FxHashMap<u64, Vec<u32>>,
+    fingerprints: Vec<u64>,
+    alive: Vec<bool>,
+    /// Next row id in the same fingerprint chain, or [`NO_ROW`].
+    chain: Vec<u32>,
+    /// Chain head per fingerprint, over the live indexed rows.
+    heads: crate::fx::FxHashMap<u64, u32>,
+    /// Per column to eliminate: the ids of the rows created with a
+    /// non-zero there, removed ones included (filtered on read).
+    occurrences: Vec<Vec<u32>>,
+    /// Live rows with a positive / negative entry, per column to eliminate.
+    pos: Vec<usize>,
+    neg: Vec<usize>,
+    live: usize,
 }
 
-impl RowSet {
-    /// Appends `row` unless an equal row is already present.
-    fn insert(&mut self, row: SparseRow) {
-        let bucket = self.by_fingerprint.entry(row.fingerprint()).or_default();
-        if bucket.iter().any(|&i| self.rows[i as usize] == row) {
-            return;
+impl RowSlab {
+    fn new(ncols: usize) -> Self {
+        RowSlab {
+            ncols,
+            rows: Vec::new(),
+            fingerprints: Vec::new(),
+            alive: Vec::new(),
+            chain: Vec::new(),
+            heads: Default::default(),
+            occurrences: vec![Vec::new(); ncols],
+            pos: vec![0; ncols],
+            neg: vec![0; ncols],
+            live: 0,
         }
-        bucket.push(self.rows.len() as u32);
-        self.rows.push(row);
     }
 
-    fn len(&self) -> usize {
-        self.rows.len()
+    /// Whether a live indexed row equals `row` (with fingerprint `fp`).
+    fn contains(&self, row: &[(u32, i64)], fp: u64) -> bool {
+        let mut id = self.heads.get(&fp).copied().unwrap_or(NO_ROW);
+        while id != NO_ROW {
+            if self.rows[id as usize] == row {
+                return true;
+            }
+            id = self.chain[id as usize];
+        }
+        false
+    }
+
+    /// Adds `row` as a live row; `indexed` also enters it into the dedup
+    /// index.
+    fn push(&mut self, row: SparseRow, fp: u64, indexed: bool) {
+        let id = self.rows.len() as u32;
+        self.chain.push(if indexed {
+            self.heads.insert(fp, id).unwrap_or(NO_ROW)
+        } else {
+            NO_ROW
+        });
+        self.rows.push(row);
+        self.fingerprints.push(fp);
+        self.alive.push(true);
+        self.live += 1;
+        self.count(id, true);
+    }
+
+    /// Takes live row `id` out of the sign counts and, if `indexed`, out
+    /// of the dedup index. Its entries stay readable.
+    fn remove(&mut self, id: u32, indexed: bool) {
+        let i = id as usize;
+        if indexed {
+            let fp = self.fingerprints[i];
+            let head = self.heads[&fp];
+            if head == id {
+                match self.chain[i] {
+                    NO_ROW => self.heads.remove(&fp),
+                    next => self.heads.insert(fp, next),
+                };
+            } else {
+                let mut prev = head as usize;
+                while self.chain[prev] != id {
+                    prev = self.chain[prev] as usize;
+                }
+                self.chain[prev] = self.chain[i];
+            }
+        }
+        self.count(id, false);
+        self.alive[i] = false;
+        self.live -= 1;
+    }
+
+    /// Adds (`insert`) or retracts the entries of row `id` in the columns
+    /// to eliminate to the sign counts; an insert also records the row's
+    /// occurrences.
+    fn count(&mut self, id: u32, insert: bool) {
+        let row = &self.rows[id as usize];
+        for &(c, v) in row.iter().take_while(|&&(c, _)| (c as usize) < self.ncols) {
+            let c = c as usize;
+            let slot = if v > 0 {
+                &mut self.pos[c]
+            } else {
+                &mut self.neg[c]
+            };
+            if insert {
+                *slot += 1;
+                self.occurrences[c].push(id);
+            } else {
+                *slot -= 1;
+            }
+        }
+    }
+
+    /// The live rows in row order.
+    fn into_live_rows(self) -> Vec<SparseRow> {
+        self.rows
+            .into_iter()
+            .zip(self.alive)
+            .filter_map(|(row, alive)| alive.then_some(row))
+            .collect()
     }
 }
 
@@ -373,83 +543,146 @@ pub(crate) struct Elimination {
 
 /// Eliminates columns `0..ncols` from `rows`, one column at a time, always
 /// picking the column that produces the fewest new combinations (a
-/// standard heuristic that keeps the intermediate row count small). The
-/// per-column sign counts are gathered in one pass over the rows'
-/// non-zeros instead of one full row scan per candidate column. The
-/// number of intermediate rows is capped at `row_cap`.
-pub(crate) fn eliminate(mut rows: Vec<SparseRow>, ncols: usize, row_cap: usize) -> Elimination {
-    let mut remaining: Vec<usize> = (0..ncols).collect();
-    let mut pos = vec![0usize; ncols];
-    let mut neg = vec![0usize; ncols];
-    while !remaining.is_empty() {
-        pos.iter_mut().for_each(|c| *c = 0);
-        neg.iter_mut().for_each(|c| *c = 0);
-        for row in &rows {
-            for &(c, v) in &row.entries {
-                let c = c as usize;
-                if c >= ncols {
-                    break;
-                }
-                if v > 0 {
-                    pos[c] += 1;
-                } else {
-                    neg[c] += 1;
-                }
-            }
+/// standard heuristic that keeps the intermediate row count small; ties
+/// go to the first such column of `remaining`). Each round keeps the rows
+/// that are zero in the pivot column and appends the deduplicated
+/// combinations of every (positive, negative) pair of the others. The
+/// number of rows is capped at `row_cap`, checked after every
+/// combination.
+///
+/// Pivots, row order and bail-out point are those of the dense oracle
+/// ([`t_invariant_basis_dense`]), but a round touches only the rows with a
+/// non-zero in its pivot column (see [`RowSlab`]).
+pub(crate) fn eliminate(rows: Vec<SparseRow>, ncols: usize, row_cap: usize) -> Elimination {
+    if ncols == 0 {
+        return Elimination {
+            rows,
+            complete: true,
+        };
+    }
+    let mut slab = RowSlab::new(ncols);
+    // Repeated input rows count towards the first pivot choice, then the
+    // first round drops them, as the dense algorithm's dedup does. (Their
+    // combinations would only repeat those of their first copy.)
+    let mut repeats = Vec::new();
+    for row in rows {
+        let fp = fingerprint(&row);
+        let first = !slab.contains(&row, fp);
+        if !first {
+            repeats.push(slab.rows.len() as u32);
         }
+        slab.push(row, fp, first);
+    }
+
+    let mut remaining: Vec<usize> = (0..ncols).collect();
+    let mut combined = SparseRow::new();
+    while !remaining.is_empty() {
         let (best_idx, _) = remaining
             .iter()
             .enumerate()
-            .map(|(i, &p)| (i, pos[p] * neg[p] + pos[p] + neg[p]))
+            .map(|(i, &p)| (i, slab.pos[p] * slab.neg[p] + slab.pos[p] + slab.neg[p]))
             .min_by_key(|(_, cost)| *cost)
             .expect("remaining is non-empty");
-        let p = remaining.swap_remove(best_idx) as u32;
-
-        let mut next = RowSet::default();
-        let (zeros, nonzeros): (Vec<_>, Vec<_>) = rows.into_iter().partition(|r| r.get(p) == 0);
-        for row in zeros {
-            next.insert(row);
+        let p = remaining.swap_remove(best_idx);
+        for id in repeats.drain(..) {
+            slab.remove(id, false);
         }
-        // Capture the pivot value once per row: the pair loop below visits
-        // every (positive, negative) combination and must not re-run the
-        // binary search per pair.
-        let positives: Vec<(&SparseRow, i64)> = nonzeros
-            .iter()
-            .filter_map(|r| match r.get(p) {
-                v if v > 0 => Some((r, v)),
-                _ => None,
-            })
+
+        let pivots: Vec<u32> = std::mem::take(&mut slab.occurrences[p])
+            .into_iter()
+            .filter(|&id| slab.alive[id as usize])
             .collect();
-        let negatives: Vec<(&SparseRow, i64)> = nonzeros
-            .iter()
-            .filter_map(|r| match r.get(p) {
-                v if v < 0 => Some((r, v)),
-                _ => None,
-            })
-            .collect();
+        let (mut positives, mut negatives) = (Vec::new(), Vec::new());
+        for &id in &pivots {
+            slab.remove(id, true);
+            match value_at(&slab.rows[id as usize], p as u32) {
+                v if v > 0 => positives.push((id as usize, v)),
+                v => negatives.push((id as usize, v)),
+            }
+        }
         for &(rp, a) in &positives {
             for &(rn, nb) in &negatives {
                 let b = -nb;
                 let l = (a / gcd(a as u64, b as u64) as i64) * b;
-                let mut combined = rp.combine(l / a, rn, l / b);
-                combined.normalize();
-                next.insert(combined);
-                if next.len() > row_cap {
+                combine_into(&slab.rows[rp], l / a, &slab.rows[rn], l / b, &mut combined);
+                normalize(&mut combined);
+                let fp = fingerprint(&combined);
+                if !slab.contains(&combined, fp) {
+                    slab.push(combined.clone(), fp, true);
+                }
+                if slab.live > row_cap {
                     // Bail out conservatively: the finished rows of the
                     // partial set are still valid invariants.
                     return Elimination {
-                        rows: next.rows,
+                        rows: slab.into_live_rows(),
                         complete: false,
                     };
                 }
             }
         }
-        rows = next.rows;
+        for &id in &pivots {
+            slab.rows[id as usize] = SparseRow::new();
+        }
     }
     Elimination {
-        rows,
+        rows: slab.into_live_rows(),
         complete: true,
     }
+}
+
+/// Admits the rows an elimination left as semiflows. A row qualifies when
+/// its residual columns `0..nres` all vanished and its other entries —
+/// column `nres + j` weighting `lines[j]` — are positive. Each one is
+/// checked against `lines` (`Σ_j x_j·lines[j] = 0`, over its support
+/// only), duplicates are dropped, and the result is filtered to minimal
+/// support. Returns dense vectors, one entry per line.
+fn collect_semiflows(rows: &[SparseRow], nres: usize, lines: &[SparseRow]) -> Vec<Vec<u64>> {
+    let mut residual = vec![0i64; nres];
+    let mut seen: crate::fx::FxHashSet<&[(u32, i64)]> = Default::default();
+    let mut found = Vec::new();
+    for row in rows {
+        // The residual columns sort first: the first entry tells whether
+        // any is left (an empty row is no semiflow either).
+        let finished = row.first().is_some_and(|&(c, _)| c as usize >= nres);
+        if !finished || row.iter().any(|&(_, v)| v < 0) {
+            continue;
+        }
+        let terms = row
+            .iter()
+            .map(|&(c, v)| (lines[c as usize - nres].as_slice(), v as u64));
+        if annuls(terms, &mut residual) && seen.insert(row) {
+            let mut x = vec![0u64; lines.len()];
+            for &(c, v) in row {
+                x[c as usize - nres] = v as u64;
+            }
+            found.push(x);
+        }
+    }
+    minimal_support(found)
+}
+
+/// Keeps the vectors no other vector's strictly smaller support is
+/// contained in — a minimal-support basis, in input order.
+fn minimal_support(vectors: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+    let supports: Vec<Vec<u32>> = vectors
+        .iter()
+        .map(|x| (0..x.len() as u32).filter(|&i| x[i as usize] > 0).collect())
+        .collect();
+    // Sorted supports: `small ⊆ big` in one forward pass over `big`.
+    let within = |small: &[u32], big: &[u32]| {
+        let mut rest = big.iter();
+        small.iter().all(|s| rest.any(|b| b == s))
+    };
+    vectors
+        .into_iter()
+        .zip(&supports)
+        .filter(|(_, sup)| {
+            !supports
+                .iter()
+                .any(|other| other.len() < sup.len() && within(other, sup))
+        })
+        .map(|(x, _)| x)
+        .collect()
 }
 
 /// Computes a non-negative basis of T-invariants (minimal-support
@@ -466,26 +699,20 @@ pub(crate) fn eliminate(mut rows: Vec<SparseRow>, ncols: usize, row_cap: usize) 
 /// same order; the property suite asserts this on random nets.
 pub fn t_invariant_basis(net: &PetriNet, row_cap: usize) -> Vec<TInvariant> {
     let np = net.num_places();
-    let nt = net.num_transitions();
-
-    // One sparse row per transition: the incidence column plus a unit
+    let all: Vec<TransitionId> = net.transition_ids().collect();
+    let lines = transition_lines(net, &all);
+    // One row per transition: the incidence column plus a unit
     // firing-count entry.
-    let mut rows: Vec<SparseRow> = Vec::with_capacity(nt);
-    for t in net.transition_ids() {
-        let mut delta: std::collections::BTreeMap<u32, i64> = std::collections::BTreeMap::new();
-        for (p, w) in net.preset(t) {
-            *delta.entry(p.index() as u32).or_insert(0) -= *w as i64;
-        }
-        for (p, w) in net.postset(t) {
-            *delta.entry(p.index() as u32).or_insert(0) += *w as i64;
-        }
-        let mut entries: Vec<(u32, i64)> = delta.into_iter().filter(|&(_, v)| v != 0).collect();
-        entries.push(((np + t.index()) as u32, 1));
-        rows.push(SparseRow { entries });
-    }
-
+    let rows = lines
+        .iter()
+        .enumerate()
+        .map(|(t, line)| unit_row(line, np + t))
+        .collect();
     let elim = eliminate(rows, np, row_cap);
-    collect_invariants(&elim.rows, np, nt, net)
+    collect_semiflows(&elim.rows, np, &lines)
+        .into_iter()
+        .map(TInvariant::from_counts)
+        .collect()
 }
 
 /// Computes a non-negative basis of P-invariants (minimal-support place
@@ -504,80 +731,23 @@ pub fn p_invariant_basis(net: &PetriNet, row_cap: usize) -> Vec<PInvariant> {
 /// elimination: `true` means the returned basis contains *every*
 /// minimal-support semiflow, so "no invariant covers `p`" is a proof.
 pub fn p_invariant_elimination(net: &PetriNet, row_cap: usize) -> (Vec<PInvariant>, bool) {
-    let np = net.num_places();
-    let nt = net.num_transitions();
-
-    // One sparse row per place: the incidence row plus a unit weight
-    // entry. Transition columns come first so the elimination removes
-    // exactly them.
-    let mut deltas: Vec<std::collections::BTreeMap<u32, i64>> = vec![Default::default(); np];
-    for t in net.transition_ids() {
-        for (p, w) in net.preset(t) {
-            *deltas[p.index()].entry(t.index() as u32).or_insert(0) -= *w as i64;
-        }
-        for (p, w) in net.postset(t) {
-            *deltas[p.index()].entry(t.index() as u32).or_insert(0) += *w as i64;
-        }
-    }
-    let mut rows: Vec<SparseRow> = Vec::with_capacity(np);
-    for (p, delta) in deltas.into_iter().enumerate() {
-        let mut entries: Vec<(u32, i64)> = delta.into_iter().filter(|&(_, v)| v != 0).collect();
-        entries.push(((nt + p) as u32, 1));
-        rows.push(SparseRow { entries });
-    }
-
+    let (np, nt) = (net.num_places(), net.num_transitions());
+    let all: Vec<TransitionId> = net.transition_ids().collect();
+    let lines = place_lines(&transition_lines(net, &all), np);
+    // One row per place: the incidence row plus a unit weight entry.
+    // Transition columns come first so the elimination removes exactly
+    // them.
+    let rows = lines
+        .iter()
+        .enumerate()
+        .map(|(p, line)| unit_row(line, nt + p))
+        .collect();
     let elim = eliminate(rows, nt, row_cap);
-    (collect_p_invariants(&elim.rows, np, nt, net), elim.complete)
-}
-
-fn collect_p_invariants(
-    rows: &[SparseRow],
-    np: usize,
-    nt: usize,
-    net: &PetriNet,
-) -> Vec<PInvariant> {
-    let mut result: Vec<PInvariant> = Vec::new();
-    for row in rows {
-        // Only rows whose residual transition part vanished are invariants.
-        if row.entries.iter().any(|&(c, _)| (c as usize) < nt) {
-            continue;
-        }
-        if row.entries.is_empty() {
-            continue;
-        }
-        if row.entries.iter().any(|&(_, v)| v < 0) {
-            continue;
-        }
-        let mut weights = vec![0u64; np];
-        for &(c, v) in &row.entries {
-            weights[c as usize - nt] = v as u64;
-        }
-        let inv = PInvariant::from_weights(weights);
-        if inv.is_valid_for(net) && !result.contains(&inv) {
-            result.push(inv);
-        }
-    }
-    minimal_support_p(result)
-}
-
-/// Keeps only minimal-support P-invariants to obtain a clean basis.
-fn minimal_support_p(result: Vec<PInvariant>) -> Vec<PInvariant> {
-    let mut minimal: Vec<PInvariant> = Vec::new();
-    for (i, inv) in result.iter().enumerate() {
-        let sup: Vec<bool> = inv.as_slice().iter().map(|&w| w > 0).collect();
-        let dominated = result.iter().enumerate().any(|(j, other)| {
-            if i == j {
-                return false;
-            }
-            let osup: Vec<bool> = other.as_slice().iter().map(|&w| w > 0).collect();
-            osup.iter().zip(&sup).all(|(o, s)| !o || *s)
-                && osup.iter().zip(&sup).any(|(o, s)| !o && *s)
-        });
-        if !dominated {
-            minimal.push(inv.clone());
-        }
-    }
-    minimal
+    let basis = collect_semiflows(&elim.rows, nt, &lines)
+        .into_iter()
+        .map(PInvariant::from_weights)
+        .collect();
+    (basis, elim.complete)
 }
 
 /// Computes generators of the cone `{ y ≥ 0 : yᵀ·C' ≤ 0 }`, where `C'` is
@@ -597,49 +767,31 @@ pub(crate) fn surinvariant_cover(
 ) -> (Vec<Vec<u64>>, bool) {
     let np = net.num_places();
     let nc = columns.len();
-    let mut deltas: Vec<std::collections::BTreeMap<u32, i64>> = vec![Default::default(); np];
-    for (j, &t) in columns.iter().enumerate() {
-        for (p, w) in net.preset(t) {
-            *deltas[p.index()].entry(j as u32).or_insert(0) -= *w as i64;
-        }
-        for (p, w) in net.postset(t) {
-            *deltas[p.index()].entry(j as u32).or_insert(0) += *w as i64;
-        }
-    }
+    let lines = place_lines(&transition_lines(net, columns), np);
     // Rows for the place unknowns y_p …
-    let mut rows: Vec<SparseRow> = Vec::with_capacity(np + nc);
-    for (p, delta) in deltas.into_iter().enumerate() {
-        let mut entries: Vec<(u32, i64)> = delta.into_iter().filter(|&(_, v)| v != 0).collect();
-        entries.push(((nc + p) as u32, 1));
-        rows.push(SparseRow { entries });
-    }
+    let mut rows: Vec<SparseRow> = lines
+        .iter()
+        .enumerate()
+        .map(|(p, line)| unit_row(line, nc + p))
+        .collect();
     // … and for the slack unknowns s_j (one per eliminated column).
-    for j in 0..nc {
-        rows.push(SparseRow {
-            entries: vec![(j as u32, 1), ((nc + np + j) as u32, 1)],
-        });
-    }
+    rows.extend((0..nc).map(|j| vec![(j as u32, 1), ((nc + np + j) as u32, 1)]));
 
     let elim = eliminate(rows, nc, row_cap);
     let mut result: Vec<Vec<u64>> = Vec::new();
+    let mut seen: crate::fx::FxHashSet<&[(u32, i64)]> = Default::default();
     for row in &elim.rows {
-        if row.entries.iter().any(|&(c, _)| (c as usize) < nc) {
+        if row.iter().any(|&(c, v)| (c as usize) < nc || v < 0) {
             continue;
         }
-        if row.entries.iter().any(|&(_, v)| v < 0) {
+        // The place part: every entry before the slack columns.
+        let places = &row[..row.partition_point(|&(c, _)| (c as usize) < nc + np)];
+        if places.is_empty() {
             continue;
         }
         let mut weights = vec![0u64; np];
-        let mut has_place = false;
-        for &(c, v) in &row.entries {
-            let c = c as usize;
-            if c < nc + np {
-                weights[c - nc] = v as u64;
-                has_place = true;
-            }
-        }
-        if !has_place {
-            continue;
+        for &(c, v) in places {
+            weights[c as usize - nc] = v as u64;
         }
         // Soundness check mirroring `is_valid_for`: yᵀ·C' ≤ 0 per column.
         let sound = columns.iter().all(|&t| {
@@ -652,60 +804,14 @@ pub(crate) fn surinvariant_cover(
             }
             sum <= 0
         });
-        if sound && !result.contains(&weights) {
+        if sound && seen.insert(places) {
             result.push(weights);
         }
     }
     (result, elim.complete)
 }
 
-fn collect_invariants(rows: &[SparseRow], np: usize, nt: usize, net: &PetriNet) -> Vec<TInvariant> {
-    let mut result: Vec<TInvariant> = Vec::new();
-    for row in rows {
-        // Only rows whose residual place part vanished are invariants.
-        if row.entries.iter().any(|&(c, _)| (c as usize) < np) {
-            continue;
-        }
-        if row.entries.is_empty() {
-            continue;
-        }
-        if row.entries.iter().any(|&(_, v)| v < 0) {
-            continue;
-        }
-        let mut counts = vec![0u64; nt];
-        for &(c, v) in &row.entries {
-            counts[c as usize - np] = v as u64;
-        }
-        let inv = TInvariant::from_counts(counts);
-        if inv.is_valid_for(net) && !result.contains(&inv) {
-            result.push(inv);
-        }
-    }
-    minimal_support(result)
-}
-
-/// Keeps only minimal-support invariants to obtain a clean basis.
-fn minimal_support(result: Vec<TInvariant>) -> Vec<TInvariant> {
-    let mut minimal: Vec<TInvariant> = Vec::new();
-    for (i, inv) in result.iter().enumerate() {
-        let sup: Vec<bool> = inv.as_slice().iter().map(|&c| c > 0).collect();
-        let dominated = result.iter().enumerate().any(|(j, other)| {
-            if i == j {
-                return false;
-            }
-            let osup: Vec<bool> = other.as_slice().iter().map(|&c| c > 0).collect();
-            // `other` has strictly smaller support contained in `inv`'s.
-            osup.iter().zip(&sup).all(|(o, s)| !o || *s)
-                && osup.iter().zip(&sup).any(|(o, s)| !o && *s)
-        });
-        if !dominated {
-            minimal.push(inv.clone());
-        }
-    }
-    minimal
-}
-
-/// The original dense-row Farkas elimination, retained verbatim as the
+/// The original dense-row Farkas elimination, retained as the
 /// differential-testing oracle for [`t_invariant_basis`] (and as the
 /// baseline the benchmark suite measures the sparse rework against). Do
 /// not use it in production paths.
@@ -727,7 +833,51 @@ pub fn t_invariant_basis_dense(net: &PetriNet, row_cap: usize) -> Vec<TInvariant
         rows.push(row);
     }
 
-    let mut remaining: Vec<usize> = (0..np).collect();
+    let rows = eliminate_dense(rows, np, row_cap);
+    let valid = |x: &[u64]| {
+        let x: Vec<i64> = x.iter().map(|&v| v as i64).collect();
+        c.apply(&x).iter().all(|&v| v == 0)
+    };
+    collect_dense(&rows, np, valid)
+        .into_iter()
+        .map(TInvariant::from_counts)
+        .collect()
+}
+
+/// Dense-row Farkas elimination for the P-invariant basis, the
+/// differential-testing oracle for [`p_invariant_basis`] (and the baseline
+/// the benchmark suite measures the sparse dual against). Do not use it in
+/// production paths.
+pub fn p_invariant_basis_dense(net: &PetriNet, row_cap: usize) -> Vec<PInvariant> {
+    let np = net.num_places();
+    let nt = net.num_transitions();
+    let c = incidence_matrix(net);
+
+    // Each working row is [a | b]: a has one entry per transition (the
+    // residual yᵀ·C restricted to that combination), b one entry per place
+    // (the weights accumulated so far).
+    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(np);
+    for p in 0..np {
+        let mut row = vec![0i64; nt + np];
+        row[..nt].copy_from_slice(&c.rows[p]);
+        row[nt + p] = 1;
+        rows.push(row);
+    }
+
+    let rows = eliminate_dense(rows, nt, row_cap);
+    let valid =
+        |y: &[u64]| (0..nt).all(|t| (0..np).map(|p| y[p] as i64 * c.rows[p][t]).sum::<i64>() == 0);
+    collect_dense(&rows, nt, valid)
+        .into_iter()
+        .map(PInvariant::from_weights)
+        .collect()
+}
+
+/// The dense Farkas elimination of columns `0..ncols` behind both
+/// oracles: every round scans every row for the pivot choice and
+/// rebuilds the row list with a content-hashed dedup set.
+fn eliminate_dense(mut rows: Vec<Vec<i64>>, ncols: usize, row_cap: usize) -> Vec<Vec<i64>> {
+    let mut remaining: Vec<usize> = (0..ncols).collect();
     while !remaining.is_empty() {
         let (best_idx, _) = remaining
             .iter()
@@ -763,140 +913,46 @@ pub fn t_invariant_basis_dense(net: &PetriNet, row_cap: usize) -> Vec<TInvariant
                     .zip(rn.iter())
                     .map(|(x, y)| fa * x + fb * y)
                     .collect();
-                normalize(&mut combined);
+                let g = combined
+                    .iter()
+                    .map(|v| v.unsigned_abs())
+                    .filter(|&v| v != 0)
+                    .fold(0u64, gcd);
+                if g > 1 {
+                    for v in combined.iter_mut() {
+                        *v /= g as i64;
+                    }
+                }
                 if seen.insert(combined.clone()) {
                     next.push(combined);
                 }
                 if next.len() > row_cap {
-                    return collect_invariants_dense(&next, np, nt, net);
+                    return next;
                 }
             }
         }
         rows = next;
     }
-    collect_invariants_dense(&rows, np, nt, net)
+    rows
 }
 
-fn collect_invariants_dense(
-    rows: &[Vec<i64>],
-    np: usize,
-    nt: usize,
-    net: &PetriNet,
-) -> Vec<TInvariant> {
-    let mut result: Vec<TInvariant> = Vec::new();
+/// The dense oracles' collector: rows with a zero residual part
+/// (`..nres`) and a non-zero, non-negative rest that passes `valid`,
+/// first copies only, filtered to minimal support.
+fn collect_dense(rows: &[Vec<i64>], nres: usize, valid: impl Fn(&[u64]) -> bool) -> Vec<Vec<u64>> {
+    let mut result: Vec<Vec<u64>> = Vec::new();
     for row in rows {
-        if row[..np].iter().any(|&v| v != 0) {
+        let (residual, x) = row.split_at(nres);
+        if residual.iter().any(|&v| v != 0) || x.iter().all(|&v| v == 0) || x.iter().any(|&v| v < 0)
+        {
             continue;
         }
-        if row[np..].iter().all(|&v| v == 0) {
-            continue;
-        }
-        if row[np..].iter().any(|&v| v < 0) {
-            continue;
-        }
-        let inv = TInvariant::from_counts(row[np..].iter().map(|&v| v as u64).collect());
-        debug_assert_eq!(inv.as_slice().len(), nt);
-        if inv.is_valid_for(net) && !result.contains(&inv) {
-            result.push(inv);
+        let x: Vec<u64> = x.iter().map(|&v| v as u64).collect();
+        if valid(&x) && !result.contains(&x) {
+            result.push(x);
         }
     }
     minimal_support(result)
-}
-
-/// Dense-row Farkas elimination for the P-invariant basis, the
-/// differential-testing oracle for [`p_invariant_basis`] (and the baseline
-/// the benchmark suite measures the sparse dual against). Do not use it in
-/// production paths.
-pub fn p_invariant_basis_dense(net: &PetriNet, row_cap: usize) -> Vec<PInvariant> {
-    let np = net.num_places();
-    let nt = net.num_transitions();
-    let c = incidence_matrix(net);
-
-    // Each working row is [a | b]: a has one entry per transition (the
-    // residual yᵀ·C restricted to that combination), b one entry per place
-    // (the weights accumulated so far).
-    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(np);
-    for p in 0..np {
-        let mut row = vec![0i64; nt + np];
-        row[..nt].copy_from_slice(&c.rows[p]);
-        row[nt + p] = 1;
-        rows.push(row);
-    }
-
-    let mut remaining: Vec<usize> = (0..nt).collect();
-    while !remaining.is_empty() {
-        let (best_idx, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let pos = rows.iter().filter(|r| r[t] > 0).count();
-                let neg = rows.iter().filter(|r| r[t] < 0).count();
-                (i, pos * neg + pos + neg)
-            })
-            .min_by_key(|(_, cost)| *cost)
-            .expect("remaining is non-empty");
-        let t = remaining.swap_remove(best_idx);
-
-        let mut seen: std::collections::HashSet<Vec<i64>> = std::collections::HashSet::new();
-        let mut next: Vec<Vec<i64>> = Vec::new();
-        let (zeros, nonzeros): (Vec<_>, Vec<_>) = rows.into_iter().partition(|r| r[t] == 0);
-        for row in zeros {
-            if seen.insert(row.clone()) {
-                next.push(row);
-            }
-        }
-        let positives: Vec<&Vec<i64>> = nonzeros.iter().filter(|r| r[t] > 0).collect();
-        let negatives: Vec<&Vec<i64>> = nonzeros.iter().filter(|r| r[t] < 0).collect();
-        for rp in &positives {
-            for rn in &negatives {
-                let a = rp[t];
-                let b = -rn[t];
-                let l = (a / gcd(a as u64, b as u64) as i64) * b;
-                let fa = l / a;
-                let fb = l / b;
-                let mut combined: Vec<i64> = rp
-                    .iter()
-                    .zip(rn.iter())
-                    .map(|(x, y)| fa * x + fb * y)
-                    .collect();
-                normalize(&mut combined);
-                if seen.insert(combined.clone()) {
-                    next.push(combined);
-                }
-                if next.len() > row_cap {
-                    return collect_p_invariants_dense(&next, np, nt, net);
-                }
-            }
-        }
-        rows = next;
-    }
-    collect_p_invariants_dense(&rows, np, nt, net)
-}
-
-fn collect_p_invariants_dense(
-    rows: &[Vec<i64>],
-    np: usize,
-    nt: usize,
-    net: &PetriNet,
-) -> Vec<PInvariant> {
-    let mut result: Vec<PInvariant> = Vec::new();
-    for row in rows {
-        if row[..nt].iter().any(|&v| v != 0) {
-            continue;
-        }
-        if row[nt..].iter().all(|&v| v == 0) {
-            continue;
-        }
-        if row[nt..].iter().any(|&v| v < 0) {
-            continue;
-        }
-        let inv = PInvariant::from_weights(row[nt..].iter().map(|&v| v as u64).collect());
-        debug_assert_eq!(inv.as_slice().len(), np);
-        if inv.is_valid_for(net) && !result.contains(&inv) {
-            result.push(inv);
-        }
-    }
-    minimal_support_p(result)
 }
 
 #[cfg(test)]

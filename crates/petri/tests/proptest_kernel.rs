@@ -336,41 +336,6 @@ proptest! {
         }
     }
 
-    /// The sparse-row Farkas elimination produces exactly the basis of
-    /// the retained dense implementation — same invariants, same order.
-    #[test]
-    fn sparse_farkas_matches_dense_oracle(desc in random_net_strategy(), row_cap in 4usize..64) {
-        let net = build(&desc);
-        prop_assert_eq!(
-            t_invariant_basis(&net, 5_000),
-            t_invariant_basis_dense(&net, 5_000)
-        );
-        // Including under aggressive row caps, where both bail out early.
-        prop_assert_eq!(
-            t_invariant_basis(&net, row_cap),
-            t_invariant_basis_dense(&net, row_cap)
-        );
-    }
-
-    /// Every P-invariant of the computed basis is a left annuller of the
-    /// incidence matrix (`yᵀ·C = 0`), non-zero, and the sparse Farkas
-    /// dual agrees with the retained dense oracle — same invariants, same
-    /// order, including under aggressive row caps.
-    #[test]
-    fn p_invariant_sparse_matches_dense_oracle(desc in random_net_strategy(), row_cap in 4usize..64) {
-        let net = build(&desc);
-        let basis = p_invariant_basis(&net, 5_000);
-        for inv in &basis {
-            prop_assert!(inv.is_valid_for(&net));
-            prop_assert!(!inv.is_zero());
-        }
-        prop_assert_eq!(basis, p_invariant_basis_dense(&net, 5_000));
-        prop_assert_eq!(
-            p_invariant_basis(&net, row_cap),
-            p_invariant_basis_dense(&net, row_cap)
-        );
-    }
-
     /// Intern/resolve round-trips, and interning is a bijection between
     /// distinct markings and ids (the dedup invariant).
     #[test]
@@ -470,5 +435,54 @@ proptest! {
         if m.total_tokens() == 0 {
             prop_assert_eq!(display, "0");
         }
+    }
+}
+
+/// Number of random nets the Farkas oracle properties run: 64 by default,
+/// overridable with the `QSS_DIFFERENTIAL_NETS` environment variable like
+/// the root differential suite (CI's release job runs 1024).
+fn oracle_cases() -> u32 {
+    std::env::var("QSS_DIFFERENTIAL_NETS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(oracle_cases()))]
+
+    /// The sparse-row Farkas elimination produces exactly the basis of
+    /// the retained dense implementation — same invariants, same order.
+    #[test]
+    fn sparse_farkas_matches_dense_oracle(desc in random_net_strategy(), row_cap in 4usize..64) {
+        let net = build(&desc);
+        prop_assert_eq!(
+            t_invariant_basis(&net, 5_000),
+            t_invariant_basis_dense(&net, 5_000)
+        );
+        // Including under aggressive row caps, where both bail out early.
+        prop_assert_eq!(
+            t_invariant_basis(&net, row_cap),
+            t_invariant_basis_dense(&net, row_cap)
+        );
+    }
+
+    /// Every P-invariant of the computed basis is a left annuller of the
+    /// incidence matrix (`yᵀ·C = 0`), non-zero, and the sparse Farkas
+    /// dual agrees with the retained dense oracle — same invariants, same
+    /// order, including under aggressive row caps.
+    #[test]
+    fn p_invariant_sparse_matches_dense_oracle(desc in random_net_strategy(), row_cap in 4usize..64) {
+        let net = build(&desc);
+        let basis = p_invariant_basis(&net, 5_000);
+        for inv in &basis {
+            prop_assert!(inv.is_valid_for(&net));
+            prop_assert!(!inv.is_zero());
+        }
+        prop_assert_eq!(basis, p_invariant_basis_dense(&net, 5_000));
+        prop_assert_eq!(
+            p_invariant_basis(&net, row_cap),
+            p_invariant_basis_dense(&net, row_cap)
+        );
     }
 }
