@@ -24,7 +24,7 @@
 //! Set `QSS_BENCH_FAST=1` for a quick smoke run with fewer samples.
 
 use proptest::{Strategy, TestRng};
-use qss_bench::experiments::divider_net;
+use qss_bench::experiments::{divider_net, pfc_setup};
 use qss_bench::testgen::{build_random, hub_net_strategy, random_net_strategy, wide_net_strategy};
 use qss_core::{reference, ScheduleOptions, SearchBudget, SearchContext, TerminationKind};
 use qss_obs::{Observer, SpanId};
@@ -33,7 +33,10 @@ use qss_petri::{
     t_invariant_basis, t_invariant_basis_dense, EcsInfo, FxHashMap, KernelScratch, Marking,
     MarkingStore, NetKernels, StructuralLimits,
 };
-use qss_sim::{pfc_system, PfcParams};
+use qss_sim::{
+    pfc_events, pfc_system, run_multitask, run_singletask, CycleCostModel, MultiTaskConfig,
+    PfcParams, SingleTaskConfig,
+};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::atomic::AtomicBool;
@@ -279,6 +282,32 @@ fn main() {
             Box::new(move || {
                 black_box(structural_report_dense(&gsystem.net, &rlimits));
             }),
+        );
+    }
+
+    {
+        // The simulate stage of one build: both executors over default
+        // PFC, 50 frames, the multi-task baseline at Table 1's buffers of
+        // 100. No second executor is kept as an oracle, so the reference
+        // column re-runs the same closure: its ratio to the measured
+        // column is the harness's spread on identical code.
+        let setup = pfc_setup(PfcParams::default());
+        let events = pfc_events(50);
+        let simulate = move || {
+            let cost = CycleCostModel::unoptimized();
+            let single = run_singletask(
+                &setup.system,
+                &setup.schedules.schedules,
+                &events,
+                &SingleTaskConfig::new(cost),
+            );
+            let multi = run_multitask(&setup.system, &events, &MultiTaskConfig::new(100, cost));
+            black_box((single.unwrap(), multi.unwrap()));
+        };
+        push_case(
+            "sim/pfc_50f".to_string(),
+            Box::new(simulate.clone()),
+            Box::new(simulate),
         );
     }
 

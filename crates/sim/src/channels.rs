@@ -4,16 +4,21 @@
 //! by a FIFO of data values. The multi-task executor additionally enforces
 //! per-channel capacities: a write blocks when it would overflow the
 //! buffer, which is what makes small buffers expensive in Figure 20.
+//!
+//! The state is indexed by [`PlaceId`]: the executors resolve every port
+//! name to its place once per run, so a port operation costs one slot
+//! access and no lookup.
 
 use qss_flowc::LinkedSystem;
 use qss_petri::PlaceId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// FIFO queues for the data carried by channel and port places.
+/// FIFO queues for the data carried by channel and port places, one slot
+/// per place of the linked net.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelState {
-    queues: BTreeMap<PlaceId, VecDeque<i64>>,
-    capacities: BTreeMap<PlaceId, usize>,
+    queues: Vec<VecDeque<i64>>,
+    capacities: Vec<Option<usize>>,
 }
 
 impl ChannelState {
@@ -21,36 +26,30 @@ impl ChannelState {
     /// given, every inter-process channel gets that capacity (environment
     /// ports are unbounded); declared channel bounds override it.
     pub fn for_system(system: &LinkedSystem, capacity: Option<u32>) -> Self {
-        let mut state = ChannelState::default();
+        let places = system.net.num_places();
+        let mut capacities = vec![None; places];
         for channel in &system.channels {
-            state.queues.insert(channel.place, VecDeque::new());
-            let cap = channel.bound.or(capacity);
-            if let Some(c) = cap {
-                state.capacities.insert(channel.place, c as usize);
-            }
+            capacities[channel.place.index()] = channel.bound.or(capacity).map(|c| c as usize);
         }
-        for input in &system.env_inputs {
-            state.queues.insert(input.place, VecDeque::new());
+        ChannelState {
+            queues: vec![VecDeque::new(); places],
+            capacities,
         }
-        for output in &system.env_outputs {
-            state.queues.insert(output.place, VecDeque::new());
-        }
-        state
     }
 
     /// Number of queued items at `place`.
     pub fn len(&self, place: PlaceId) -> usize {
-        self.queues.get(&place).map(|q| q.len()).unwrap_or(0)
+        self.queues[place.index()].len()
     }
 
     /// Returns `true` if no place holds any queued data.
     pub fn is_empty(&self) -> bool {
-        self.queues.values().all(|q| q.is_empty())
+        self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// The configured capacity of `place`, if bounded.
     pub fn capacity(&self, place: PlaceId) -> Option<usize> {
-        self.capacities.get(&place).copied()
+        self.capacities[place.index()]
     }
 
     /// Returns `true` if `n` more items fit into `place`.
@@ -63,25 +62,30 @@ impl ChannelState {
 
     /// Appends values to the queue of `place`.
     pub fn push(&mut self, place: PlaceId, values: &[i64]) {
-        self.queues
-            .entry(place)
-            .or_default()
-            .extend(values.iter().copied());
+        self.queues[place.index()].extend(values.iter().copied());
     }
 
-    /// Removes and returns `n` values from the queue of `place`; returns
-    /// `None` if fewer than `n` values are available.
-    pub fn pop(&mut self, place: PlaceId, n: usize) -> Option<Vec<i64>> {
-        let queue = self.queues.entry(place).or_default();
+    /// Appends exactly `n` items to the queue of `place`: the leading
+    /// `values`, padded with zeros (an environment event latching a port
+    /// of rate `n`).
+    pub fn push_padded(&mut self, place: PlaceId, values: &[i64], n: usize) {
+        let queue = &mut self.queues[place.index()];
+        let given = values.len().min(n);
+        queue.extend(values[..given].iter().copied());
+        queue.extend(std::iter::repeat_n(0, n - given));
+    }
+
+    /// Moves the first `n` values of the queue of `place` into `out`
+    /// (replacing its contents). Returns `false`, and moves nothing, if
+    /// fewer than `n` values are queued.
+    pub fn pop_into(&mut self, place: PlaceId, n: usize, out: &mut Vec<i64>) -> bool {
+        let queue = &mut self.queues[place.index()];
         if queue.len() < n {
-            return None;
+            return false;
         }
-        Some(queue.drain(..n).collect())
-    }
-
-    /// Drains the whole queue of `place`.
-    pub fn drain(&mut self, place: PlaceId) -> Vec<i64> {
-        self.queues.entry(place).or_default().drain(..).collect()
+        out.clear();
+        out.extend(queue.drain(..n));
+        true
     }
 }
 
@@ -89,28 +93,49 @@ impl ChannelState {
 mod tests {
     use super::*;
 
+    fn state(capacities: Vec<Option<usize>>) -> ChannelState {
+        ChannelState {
+            queues: vec![VecDeque::new(); capacities.len()],
+            capacities,
+        }
+    }
+
     #[test]
     fn push_pop_and_capacity() {
-        let mut state = ChannelState::default();
+        let mut state = state(vec![Some(3)]);
         let p = PlaceId::new(0);
-        state.capacities.insert(p, 3);
+        let mut out = Vec::new();
         assert!(state.can_accept(p, 3));
         state.push(p, &[1, 2, 3]);
         assert!(!state.can_accept(p, 1));
         assert_eq!(state.len(p), 3);
-        assert_eq!(state.pop(p, 2), Some(vec![1, 2]));
-        assert_eq!(state.pop(p, 2), None);
-        assert_eq!(state.drain(p), vec![3]);
+        assert!(state.pop_into(p, 2, &mut out));
+        assert_eq!(out, vec![1, 2]);
+        assert!(!state.pop_into(p, 2, &mut out));
+        assert_eq!(out, vec![1, 2]);
+        assert!(state.pop_into(p, 1, &mut out));
+        assert_eq!(out, vec![3]);
         assert!(state.is_empty());
     }
 
     #[test]
     fn unbounded_place_accepts_everything() {
-        let mut state = ChannelState::default();
+        let mut state = state(vec![Some(1), None]);
         let p = PlaceId::new(1);
         assert!(state.can_accept(p, 1_000));
         state.push(p, &[0; 100]);
         assert_eq!(state.len(p), 100);
         assert_eq!(state.capacity(p), None);
+    }
+
+    #[test]
+    fn padded_push_truncates_or_fills_to_the_rate() {
+        let mut state = state(vec![None]);
+        let p = PlaceId::new(0);
+        let mut out = Vec::new();
+        state.push_padded(p, &[7], 3);
+        state.push_padded(p, &[1, 2, 3], 2);
+        assert!(state.pop_into(p, 5, &mut out));
+        assert_eq!(out, vec![7, 0, 0, 1, 2]);
     }
 }

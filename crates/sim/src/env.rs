@@ -4,24 +4,29 @@ use crate::error::{Result, SimError};
 use qss_flowc::{BinOp, Expr, LValue, PortOp, Stmt, UnOp};
 use std::collections::BTreeMap;
 
-/// Callback used by the interpreter to move data through ports. The
-/// executor implementing it decides whether the port is an intra-task
-/// buffer, an inter-task channel or an environment port, and charges the
-/// corresponding communication cost.
+/// Callback used by the interpreter to move data through ports.
+///
+/// An implementation is bound to one process for the duration of a code
+/// fragment, so the interpreter passes only the port name. The executors
+/// resolve every port name to its place and environment role once per
+/// run; the implementation decides whether the port is an intra-task
+/// buffer, an inter-task channel or an environment port, and the executor
+/// charges the corresponding communication cost.
 pub trait ChannelIo {
-    /// Reads `n` items from `port` of `process`.
+    /// Reads `n` items from `port`, in FIFO order. The returned slice is
+    /// only valid until the next call.
     ///
     /// # Errors
     /// Returns an error if the data is not available (the executors only
     /// execute a read when the firing rule guarantees availability, so this
     /// indicates an internal inconsistency).
-    fn read_port(&mut self, process: &str, port: &str, n: u32) -> Result<Vec<i64>>;
+    fn read_port(&mut self, port: &str, n: u32) -> Result<&[i64]>;
 
-    /// Writes `values` to `port` of `process`.
+    /// Writes `values` to `port`.
     ///
     /// # Errors
     /// Returns an error if the channel cannot accept the data.
-    fn write_port(&mut self, process: &str, port: &str, values: &[i64]) -> Result<()>;
+    fn write_port(&mut self, port: &str, values: &[i64]) -> Result<()>;
 }
 
 /// Counters accumulated while executing statements (used by the cost
@@ -93,7 +98,12 @@ impl ProcessEnv {
 
     /// Sets a scalar variable.
     pub fn set(&mut self, name: &str, value: i64) {
-        self.scalars.insert(name.to_string(), value);
+        match self.scalars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.scalars.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Current contents of an array variable.
@@ -117,7 +127,7 @@ impl ProcessEnv {
     }
 
     fn array_set(&mut self, name: &str, index: i64, value: i64) -> Result<()> {
-        let process = self.process.clone();
+        let process = &self.process;
         let arr = self.arrays.get_mut(name).ok_or_else(|| {
             SimError::Evaluation(format!("`{name}` is not an array in process {process}"))
         })?;
@@ -142,7 +152,7 @@ impl ProcessEnv {
                 let i = self.eval(index)?;
                 self.array_get(name, i)
             }
-            Expr::Unary(UnOp::Neg, e) => Ok(-self.eval(e)?),
+            Expr::Unary(UnOp::Neg, e) => Ok(self.eval(e)?.wrapping_neg()),
             Expr::Unary(UnOp::Not, e) => Ok((self.eval(e)? == 0) as i64),
             Expr::Binary(op, a, b) => {
                 let a = self.eval(a)?;
@@ -155,14 +165,14 @@ impl ProcessEnv {
                         if b == 0 {
                             Err(SimError::Evaluation("division by zero".into()))
                         } else {
-                            Ok(a / b)
+                            Ok(a.wrapping_div(b))
                         }
                     }
                     BinOp::Mod => {
                         if b == 0 {
                             Err(SimError::Evaluation("modulo by zero".into()))
                         } else {
-                            Ok(a % b)
+                            Ok(a.wrapping_rem(b))
                         }
                     }
                     BinOp::Lt => Ok((a < b) as i64),
@@ -205,12 +215,12 @@ impl ProcessEnv {
     fn store_read(&mut self, dest: &LValue, values: &[i64]) -> Result<()> {
         match dest {
             LValue::Var(name) if self.arrays.contains_key(name) => {
-                let process = self.process.clone();
                 let arr = self.arrays.get_mut(name).expect("checked above");
                 if values.len() > arr.len() {
                     return Err(SimError::Evaluation(format!(
-                        "read of {} items overflows array `{name}` in {process}",
-                        values.len()
+                        "read of {} items overflows array `{name}` in {}",
+                        values.len(),
+                        self.process
                     )));
                 }
                 arr[..values.len()].copy_from_slice(values);
@@ -234,20 +244,24 @@ impl ProcessEnv {
         }
     }
 
-    /// Produces the `nitems` values sent by a `WRITE_DATA`.
-    fn load_write(&self, src: &Expr, nitems: u32) -> Result<Vec<i64>> {
+    /// Sends the `nitems` values of a `WRITE_DATA` through `io`: the
+    /// leading items of an array source, or the value of a scalar source
+    /// repeated.
+    fn write(&self, port: &str, src: &Expr, nitems: u32, io: &mut dyn ChannelIo) -> Result<()> {
         if let Expr::Var(name) = src {
             if let Some(arr) = self.arrays.get(name) {
-                if (nitems as usize) <= arr.len() {
-                    return Ok(arr[..nitems as usize].to_vec());
-                }
-                return Err(SimError::Evaluation(format!(
-                    "write of {nitems} items exceeds array `{name}`"
-                )));
+                let items = arr.get(..nitems as usize).ok_or_else(|| {
+                    SimError::Evaluation(format!("write of {nitems} items exceeds array `{name}`"))
+                })?;
+                return io.write_port(port, items);
             }
         }
         let value = self.eval(src)?;
-        Ok(vec![value; nitems as usize])
+        if nitems == 1 {
+            io.write_port(port, std::slice::from_ref(&value))
+        } else {
+            io.write_port(port, &vec![value; nitems as usize])
+        }
     }
 
     /// Executes a straight-line statement list, performing port operations
@@ -342,16 +356,12 @@ impl ProcessEnv {
     ) -> Result<()> {
         counters.port_ops += 1;
         counters.port_items += op.nitems() as u64;
-        let process = self.process.clone();
         match op {
             PortOp::Read { port, dest, nitems } => {
-                let values = io.read_port(&process, port, *nitems)?;
-                self.store_read(dest, &values)
+                let values = io.read_port(port, *nitems)?;
+                self.store_read(dest, values)
             }
-            PortOp::Write { port, src, nitems } => {
-                let values = self.load_write(src, *nitems)?;
-                io.write_port(&process, port, &values)
-            }
+            PortOp::Write { port, src, nitems } => self.write(port, src, *nitems, io),
         }
     }
 }
@@ -366,18 +376,20 @@ mod tests {
     struct TestIo {
         queues: BTreeMap<String, Vec<i64>>,
         written: BTreeMap<String, Vec<i64>>,
+        read: Vec<i64>,
     }
 
     impl ChannelIo for TestIo {
-        fn read_port(&mut self, _process: &str, port: &str, n: u32) -> Result<Vec<i64>> {
+        fn read_port(&mut self, port: &str, n: u32) -> Result<&[i64]> {
             let q = self.queues.entry(port.to_string()).or_default();
             if q.len() < n as usize {
                 return Err(SimError::Evaluation(format!("no data on {port}")));
             }
-            Ok(q.drain(..n as usize).collect())
+            self.read = q.drain(..n as usize).collect();
+            Ok(&self.read)
         }
 
-        fn write_port(&mut self, _process: &str, port: &str, values: &[i64]) -> Result<()> {
+        fn write_port(&mut self, port: &str, values: &[i64]) -> Result<()> {
             self.written
                 .entry(port.to_string())
                 .or_default()
@@ -454,8 +466,32 @@ mod tests {
     fn scalar_write_replicates_value() {
         let mut env = ProcessEnv::new("p", &[("v".into(), None)]);
         env.set("v", 9);
-        let values = env.load_write(&Expr::Var("v".into()), 3).unwrap();
-        assert_eq!(values, vec![9, 9, 9]);
+        let mut io = TestIo::default();
+        env.write("out", &Expr::Var("v".into()), 3, &mut io)
+            .unwrap();
+        env.write("one", &Expr::Var("v".into()), 1, &mut io)
+            .unwrap();
+        assert_eq!(io.written["out"], vec![9, 9, 9]);
+        assert_eq!(io.written["one"], vec![9]);
+    }
+
+    #[test]
+    fn overflowing_division_and_negation_wrap() {
+        // i64::MIN / -1 and i64::MIN % -1 overflow; like `+ - *` they wrap
+        // instead of panicking.
+        let env = ProcessEnv::new("p", &[]);
+        let min = Expr::binary(
+            BinOp::Sub,
+            Expr::binary(BinOp::Sub, Expr::Int(0), Expr::Int(i64::MAX)),
+            Expr::Int(1),
+        );
+        let minus_one = Expr::Unary(UnOp::Neg, Box::new(Expr::Int(1)));
+        let div = Expr::binary(BinOp::Div, min.clone(), minus_one.clone());
+        assert_eq!(env.eval(&div).unwrap(), i64::MIN);
+        let rem = Expr::binary(BinOp::Mod, min.clone(), minus_one);
+        assert_eq!(env.eval(&rem).unwrap(), 0);
+        let neg = Expr::Unary(UnOp::Neg, Box::new(min));
+        assert_eq!(env.eval(&neg).unwrap(), i64::MIN);
     }
 
     #[test]

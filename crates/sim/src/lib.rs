@@ -25,6 +25,18 @@
 //! Both executors compute the values written to the environment output
 //! ports, so functional equivalence of the two implementations can be
 //! asserted — the role VCC simulation played in the paper.
+//!
+//! Each run resolves the system's names once, before the first event:
+//! every process becomes its index in `process_names`, every port its
+//! place and environment role, every transition its process index and a
+//! borrow of its code. The executor loops then run on indices — process
+//! variables in a `Vec` indexed by process, channel queues
+//! ([`ChannelState`]) in one indexed by place, environment outputs in one
+//! indexed by output port — and allocate nothing per fired transition or
+//! port operation. The multi-task scheduler also keeps each process's
+//! transitions pre-sorted by SELECT priority and each transition's
+//! channel growth, so a scheduling step costs the candidates of one
+//! process rather than a scan of the whole system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +49,7 @@ pub mod error;
 pub mod multitask;
 pub mod pfc;
 pub mod report;
+mod routes;
 pub mod singletask;
 
 pub use channels::ChannelState;

@@ -8,14 +8,13 @@
 //! according to the cost model, which is what makes this implementation
 //! 4–10× slower than the generated single task (Figure 20 / Table 1).
 
-use crate::channels::ChannelState;
 use crate::cost::CycleCostModel;
-use crate::env::{ChannelIo, ExecCounters, ProcessEnv};
+use crate::env::ExecCounters;
 use crate::error::{Result, SimError};
 use crate::report::{EnvEvent, SimReport};
+use crate::routes::RunState;
 use qss_flowc::LinkedSystem;
-use qss_petri::{Marking, PlaceId, TransitionId, TransitionKind};
-use std::collections::BTreeMap;
+use qss_petri::{Marking, NetError, PlaceId, TransitionId, TransitionKind};
 
 /// Configuration of the multi-task executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,71 +56,92 @@ pub fn run_multitask(
 ) -> Result<SimReport> {
     let mut sim = MultiSim::new(system, config);
     sim.run(events)?;
+    sim.report.outputs = sim.state.into_outputs();
     Ok(sim.report)
 }
 
-/// Data movement context handed to the statement interpreter.
-struct IoCtx<'a> {
-    system: &'a LinkedSystem,
-    channels: &'a mut ChannelState,
-    report: &'a mut SimReport,
-}
-
-impl<'a> ChannelIo for IoCtx<'a> {
-    fn read_port(&mut self, process: &str, port: &str, n: u32) -> Result<Vec<i64>> {
-        let place = self
-            .system
-            .port_place(process, port)
-            .ok_or_else(|| SimError::UnknownPort(format!("{process}.{port}")))?;
-        self.channels.pop(place, n as usize).ok_or_else(|| {
-            SimError::Deadlock(format!(
-                "read of {n} items from `{process}.{port}` with insufficient data"
-            ))
-        })
-    }
-
-    fn write_port(&mut self, process: &str, port: &str, values: &[i64]) -> Result<()> {
-        let place = self
-            .system
-            .port_place(process, port)
-            .ok_or_else(|| SimError::UnknownPort(format!("{process}.{port}")))?;
-        if self.system.env_output(process, port).is_some() {
-            for v in values {
-                self.report.record_output(process, port, *v);
-            }
-        } else {
-            self.channels.push(place, values);
-        }
-        Ok(())
-    }
+/// Per-transition facts the scheduler consults on every step, derived
+/// from the net once per run.
+#[derive(Debug, Clone, Default)]
+struct TransitionPlan {
+    /// Positive token growth on channel places: the buffer space a firing
+    /// needs.
+    growth: Vec<(PlaceId, usize)>,
+    /// The first growth that exceeds its channel's capacity: a firing
+    /// that can never fit.
+    oversized: Option<(PlaceId, usize)>,
+    /// Environment sink transitions draining the output places it fills.
+    sinks: Vec<TransitionId>,
 }
 
 struct MultiSim<'a> {
-    system: &'a LinkedSystem,
+    state: RunState<'a>,
     config: &'a MultiTaskConfig,
     marking: Marking,
-    envs: BTreeMap<String, ProcessEnv>,
-    channels: ChannelState,
+    /// Per process: its transitions in SELECT priority order, ties by id.
+    candidates: Vec<Vec<TransitionId>>,
+    plans: Vec<TransitionPlan>,
     report: SimReport,
     steps: u64,
 }
 
 impl<'a> MultiSim<'a> {
     fn new(system: &'a LinkedSystem, config: &'a MultiTaskConfig) -> Self {
-        let envs = system
-            .process_names
-            .iter()
-            .map(|name| {
-                let decls = system.declarations.get(name).cloned().unwrap_or_default();
-                (name.clone(), ProcessEnv::new(name.clone(), &decls))
+        let state = RunState::new(system, Some(config.buffer_size));
+        let net = &system.net;
+        let mut candidates = vec![Vec::new(); system.process_names.len()];
+        for t in net.transition_ids() {
+            if let Some((process, code)) = state.code(t) {
+                let priority = code.select.as_ref().map_or(0, |(_, _, p)| *p);
+                candidates[process].push((priority, t));
+            }
+        }
+        let candidates = candidates
+            .into_iter()
+            .map(|mut list| {
+                list.sort_unstable();
+                list.into_iter().map(|(_, t)| t).collect()
+            })
+            .collect();
+        let mut is_channel = vec![false; net.num_places()];
+        for channel in &system.channels {
+            is_channel[channel.place.index()] = true;
+        }
+        let mut sink_of = vec![None; net.num_places()];
+        for output in &system.env_outputs {
+            if net.transition(output.sink).kind == TransitionKind::Sink {
+                sink_of[output.place.index()] = Some(output.sink);
+            }
+        }
+        let plans = net
+            .transition_ids()
+            .map(|t| {
+                let mut plan = TransitionPlan::default();
+                for &(p, delta) in net.changed_places(t) {
+                    if delta <= 0 {
+                        continue;
+                    }
+                    if is_channel[p.index()] {
+                        let grow = delta as usize;
+                        plan.growth.push((p, grow));
+                        let capacity = state.channels.capacity(p).unwrap_or(usize::MAX);
+                        if grow > capacity && plan.oversized.is_none() {
+                            plan.oversized = Some((p, grow));
+                        }
+                    }
+                    if let Some(sink) = sink_of[p.index()] {
+                        plan.sinks.push(sink);
+                    }
+                }
+                plan
             })
             .collect();
         MultiSim {
-            system,
+            state,
             config,
-            marking: system.net.initial_marking(),
-            envs,
-            channels: ChannelState::for_system(system, Some(config.buffer_size)),
+            marking: net.initial_marking(),
+            candidates,
+            plans,
             report: SimReport::default(),
             steps: 0,
         }
@@ -131,34 +151,39 @@ impl<'a> MultiSim<'a> {
         // Run the per-process initialisation code once, as the start-up
         // phase outside the cyclic schedules.
         self.run_init_code()?;
-        let order = self.system.process_names.clone();
+        let processes = self.candidates.len();
         let mut current = 0usize;
         let mut next_event = 0usize;
+        // The transition found runnable when switching to `current`: the
+        // state has not changed since, so the next step fires it.
+        let mut dispatched = None;
         loop {
             self.steps += 1;
             if self.steps > self.config.max_steps {
                 return Err(SimError::StepBudgetExhausted(self.config.max_steps));
             }
-            if let Some(t) = self.pick_runnable(&order[current]) {
+            let runnable = match dispatched.take() {
+                Some(t) => Some(t),
+                None => self.pick_runnable(current)?,
+            };
+            if let Some(t) = runnable {
                 self.fire(t)?;
-                self.drain_sinks();
                 continue;
             }
             // The current task is blocked: look for another runnable task.
-            let mut switched = false;
-            for offset in 1..order.len() {
-                let candidate = (current + offset) % order.len();
-                if self.pick_runnable(&order[candidate]).is_some() {
+            for offset in 1..processes {
+                let candidate = (current + offset) % processes;
+                if let Some(t) = self.pick_runnable(candidate)? {
                     self.report.context_switches += 1;
                     self.report.dispatches += 1;
                     self.report.cycles += self.config.cost.cycles_per_context_switch
                         + self.config.cost.cycles_per_dispatch;
                     current = candidate;
-                    switched = true;
+                    dispatched = Some(t);
                     break;
                 }
             }
-            if switched {
+            if dispatched.is_some() {
                 continue;
             }
             // Nothing can run anywhere: deliver the next environment event.
@@ -173,26 +198,16 @@ impl<'a> MultiSim<'a> {
     }
 
     fn run_init_code(&mut self) -> Result<()> {
-        for process in &self.system.process_names.clone() {
-            let Some(init) = self.system.init_code.get(process).cloned() else {
+        let system = self.state.system();
+        for (process, name) in system.process_names.iter().enumerate() {
+            let Some(init) = system.init_code.get(name) else {
                 continue;
             };
             if init.is_empty() {
                 continue;
             }
             let mut counters = ExecCounters::default();
-            let mut env = self
-                .envs
-                .remove(process)
-                .expect("every process has an environment");
-            let mut io = IoCtx {
-                system: self.system,
-                channels: &mut self.channels,
-                report: &mut self.report,
-            };
-            let result = env.exec_stmts(&init, &mut io, &mut counters);
-            self.envs.insert(process.clone(), env);
-            result?;
+            self.state.exec(process, init, &mut counters)?;
             self.charge(&counters, false);
         }
         Ok(())
@@ -201,78 +216,83 @@ impl<'a> MultiSim<'a> {
     /// The next transition of `process` that can fire, if any: it must be
     /// enabled in the net, its guard must hold, and its writes must fit
     /// into the channel buffers. SELECT arms are prioritised as declared.
-    fn pick_runnable(&self, process: &str) -> Option<TransitionId> {
-        let mut candidates: Vec<(u32, TransitionId)> = Vec::new();
-        for (&t, code) in &self.system.transition_code {
-            if code.process != process {
+    ///
+    /// # Errors
+    /// Returns [`SimError::Deadlock`] if an enabled transition whose guard
+    /// holds writes more items into a channel than its buffer can hold:
+    /// it could never fire.
+    fn pick_runnable(&self, process: usize) -> Result<Option<TransitionId>> {
+        let net = &self.state.system().net;
+        for &t in &self.candidates[process] {
+            if !net.is_enabled(t, &self.marking) {
                 continue;
             }
-            if !self.system.net.is_enabled(t, &self.marking) {
-                continue;
-            }
+            let (_, code) = self.state.code(t).expect("candidates carry code");
             if let Some((expr, branch)) = &code.guard {
-                let env = &self.envs[process];
-                match env.eval_guard(expr) {
+                match self.state.env(process).eval_guard(expr) {
                     Ok(value) if value == *branch => {}
                     _ => continue,
                 }
             }
-            if !self.writes_fit(t) {
-                continue;
+            let plan = &self.plans[t.index()];
+            if let Some((place, grow)) = plan.oversized {
+                return Err(self.oversized_write(t, place, grow));
             }
-            let priority = code.select.as_ref().map(|(_, _, p)| *p).unwrap_or(0);
-            candidates.push((priority, t));
+            // The blocking-write rule: the net data increase on every
+            // bounded channel place must fit in the remaining buffer space.
+            let channels = &self.state.channels;
+            if plan
+                .growth
+                .iter()
+                .all(|&(place, grow)| channels.can_accept(place, grow))
+            {
+                return Ok(Some(t));
+            }
         }
-        candidates.sort();
-        candidates.first().map(|(_, t)| *t)
+        Ok(None)
     }
 
-    /// Checks the blocking-write rule: the net data increase on every
-    /// bounded channel place must fit in the remaining buffer space.
-    fn writes_fit(&self, t: TransitionId) -> bool {
-        let net = &self.system.net;
-        let mut delta: BTreeMap<PlaceId, i64> = BTreeMap::new();
-        for (p, w) in net.postset(t) {
-            *delta.entry(*p).or_insert(0) += *w as i64;
-        }
-        for (p, w) in net.preset(t) {
-            *delta.entry(*p).or_insert(0) -= *w as i64;
-        }
-        delta.iter().all(|(p, d)| {
-            if *d <= 0 || self.system.channel_by_place(*p).is_none() {
-                true
-            } else {
-                self.channels.can_accept(*p, *d as usize)
-            }
-        })
+    fn oversized_write(&self, t: TransitionId, place: PlaceId, grow: usize) -> SimError {
+        let system = self.state.system();
+        let channel = system
+            .channel_by_place(place)
+            .expect("growth is tracked on channel places only");
+        SimError::Deadlock(format!(
+            "transition `{}` writes {grow} items at once into channel `{}` ({}.{} -> {}.{}), \
+             whose buffer holds {}",
+            system.net.transition(t).name,
+            channel.name,
+            channel.from.0,
+            channel.from.1,
+            channel.to.0,
+            channel.to.1,
+            self.state.channels.capacity(place).unwrap_or(0),
+        ))
     }
 
     fn fire(&mut self, t: TransitionId) -> Result<()> {
-        self.marking = self
-            .system
-            .net
-            .fire(t, &self.marking)
-            .map_err(|e| SimError::Schedule(e.to_string()))?;
+        let net = &self.state.system().net;
+        if !net.is_enabled(t, &self.marking) {
+            return Err(SimError::Schedule(NetError::NotEnabled(t).to_string()));
+        }
+        net.fire_into(t, &mut self.marking);
         self.report.transitions_fired += 1;
-        let Some(code) = self.system.transition_code.get(&t).cloned() else {
+        let plan = &self.plans[t.index()];
+        // The environment is always ready to accept outputs: drain what
+        // this firing produced on its output ports.
+        for &sink in &plan.sinks {
+            while net.is_enabled(sink, &self.marking) {
+                net.fire_into(sink, &mut self.marking);
+            }
+        }
+        let Some((process, code)) = self.state.code(t) else {
             return Ok(());
         };
         let mut counters = ExecCounters::default();
         if code.guard.is_some() {
             counters.conditions += 1;
         }
-        let mut env = self
-            .envs
-            .remove(&code.process)
-            .expect("every process has an environment");
-        let mut io = IoCtx {
-            system: self.system,
-            channels: &mut self.channels,
-            report: &mut self.report,
-        };
-        let result = env.exec_stmts(&code.stmts, &mut io, &mut counters);
-        self.envs.insert(code.process.clone(), env);
-        result?;
+        self.state.exec(process, &code.stmts, &mut counters)?;
         self.charge(&counters, true);
         Ok(())
     }
@@ -298,43 +318,19 @@ impl<'a> MultiSim<'a> {
         self.report.channel_ops += counters.port_ops;
     }
 
-    /// Fires every enabled environment sink transition (the environment is
-    /// always ready to accept outputs) and discards the drained tokens.
-    fn drain_sinks(&mut self) {
-        loop {
-            let mut fired = false;
-            for output in &self.system.env_outputs {
-                let t = output.sink;
-                if self.system.net.transition(t).kind == TransitionKind::Sink
-                    && self.system.net.is_enabled(t, &self.marking)
-                {
-                    self.marking = self.system.net.fire_unchecked(t, &self.marking);
-                    self.channels.drain(output.place);
-                    fired = true;
-                }
-            }
-            if !fired {
-                break;
-            }
-        }
-    }
-
     fn inject(&mut self, event: &EnvEvent) -> Result<()> {
-        let input = self
-            .system
-            .env_input(&event.process, &event.port)
-            .ok_or_else(|| SimError::UnknownPort(format!("{}.{}", event.process, event.port)))?
-            .clone();
-        if !self.system.net.is_enabled(input.source, &self.marking) {
+        let input = self.state.event_input(event)?;
+        let net = &self.state.system().net;
+        if !net.is_enabled(input.source, &self.marking) {
             return Err(SimError::Deadlock(format!(
                 "environment source for `{}.{}` is not enabled",
                 event.process, event.port
             )));
         }
-        self.marking = self.system.net.fire_unchecked(input.source, &self.marking);
-        let mut values = event.values.clone();
-        values.resize(input.rate as usize, 0);
-        self.channels.push(input.place, &values);
+        net.fire_into(input.source, &mut self.marking);
+        self.state
+            .channels
+            .push_padded(input.place, &event.values, input.rate as usize);
         self.report.cycles += self.config.cost.cycles_per_event;
         self.report.events_processed += 1;
         Ok(())
@@ -450,6 +446,60 @@ mod tests {
         .unwrap();
         assert!(o0.cycles > o2.cycles);
         assert_eq!(o0.output("consumer", "out"), o2.output("consumer", "out"));
+    }
+
+    /// `p` writes 4 items per trigger into a channel `c` reads 4 at a time.
+    fn burst_system() -> LinkedSystem {
+        let producer = parse_process(
+            "PROCESS p (In DPORT trigger, Out DPORT data) {
+                 int t;
+                 while (1) {
+                     READ_DATA(trigger, t, 1);
+                     WRITE_DATA(data, t, 4);
+                 }
+             }",
+        )
+        .unwrap();
+        let consumer = parse_process(
+            "PROCESS c (In DPORT data, Out DPORT sum) {
+                 int v[4], s;
+                 while (1) {
+                     READ_DATA(data, v, 4);
+                     s = s + v[0] + v[3];
+                     WRITE_DATA(sum, s, 1);
+                 }
+             }",
+        )
+        .unwrap();
+        let spec = SystemSpec::new("burst")
+            .with_process(producer)
+            .with_process(consumer)
+            .with_channel("p.data", "c.data", None)
+            .unwrap();
+        qss_flowc::link(&spec).unwrap()
+    }
+
+    #[test]
+    fn write_larger_than_the_buffer_is_a_typed_deadlock() {
+        let system = burst_system();
+        let events: Vec<EnvEvent> = (1..=3).map(|i| EnvEvent::new("p", "trigger", i)).collect();
+        let config = MultiTaskConfig::new(2, CycleCostModel::unoptimized());
+        match run_multitask(&system, &events, &config) {
+            Err(SimError::Deadlock(msg)) => {
+                assert!(msg.contains("(p.data -> c.data)"), "{msg}");
+                assert!(msg.contains("writes 4 items"), "{msg}");
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn write_that_fits_the_buffer_runs() {
+        let system = burst_system();
+        let events: Vec<EnvEvent> = (1..=3).map(|i| EnvEvent::new("p", "trigger", i)).collect();
+        let config = MultiTaskConfig::new(4, CycleCostModel::unoptimized());
+        let report = run_multitask(&system, &events, &config).unwrap();
+        assert_eq!(report.output("c", "sum"), &[2, 6, 12]);
     }
 
     #[test]

@@ -54,14 +54,6 @@ impl SimReport {
             .unwrap_or(&[])
     }
 
-    /// Records a value written to an environment output port.
-    pub fn record_output(&mut self, process: &str, port: &str, value: i64) {
-        self.outputs
-            .entry(format!("{process}.{port}"))
-            .or_default()
-            .push(value);
-    }
-
     /// Cycles in thousands, the unit used by Table 1 of the paper.
     pub fn kcycles(&self) -> u64 {
         self.cycles / 1_000
@@ -82,8 +74,7 @@ mod tests {
     #[test]
     fn report_outputs_round_trip() {
         let mut r = SimReport::default();
-        r.record_output("consumer", "out", 10);
-        r.record_output("consumer", "out", 20);
+        r.outputs.insert("consumer.out".into(), vec![10, 20]);
         assert_eq!(r.output("consumer", "out"), &[10, 20]);
         assert_eq!(r.output("consumer", "missing"), &[] as &[i64]);
         r.cycles = 12_345;

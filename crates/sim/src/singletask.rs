@@ -10,15 +10,14 @@
 //! copies, which is where the 4–10× advantage over the multi-task baseline
 //! comes from.
 
-use crate::channels::ChannelState;
 use crate::cost::CycleCostModel;
-use crate::env::{ChannelIo, ExecCounters, ProcessEnv};
+use crate::env::ExecCounters;
 use crate::error::{Result, SimError};
 use crate::report::{EnvEvent, SimReport};
+use crate::routes::{EnvTraffic, RunState};
 use qss_core::{NodeId, Schedule};
 use qss_flowc::LinkedSystem;
 use qss_petri::TransitionId;
-use std::collections::BTreeMap;
 
 /// Configuration of the single-task executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,148 +49,56 @@ pub fn run_singletask(
     events: &[EnvEvent],
     config: &SingleTaskConfig,
 ) -> Result<SimReport> {
-    let mut sim = SingleSim::new(system, schedules, config);
-    sim.run(events)?;
+    let mut sim = SingleSim {
+        state: RunState::new(system, None),
+        schedules,
+        config,
+        positions: schedules.iter().map(|s| s.root()).collect(),
+        report: SimReport::default(),
+        steps: 0,
+    };
+    sim.run_init_code()?;
+    for event in events {
+        sim.react(event)?;
+    }
+    sim.report.outputs = sim.state.into_outputs();
     Ok(sim.report)
 }
 
-struct IoCtx<'a> {
-    system: &'a LinkedSystem,
-    channels: &'a mut ChannelState,
-    report: &'a mut SimReport,
-    /// Items moved through environment ports (charged at RTOS cost, since
-    /// they still cross the task boundary).
-    env_items: u64,
-    env_ops: u64,
-}
-
-impl<'a> ChannelIo for IoCtx<'a> {
-    fn read_port(&mut self, process: &str, port: &str, n: u32) -> Result<Vec<i64>> {
-        let place = self
-            .system
-            .port_place(process, port)
-            .ok_or_else(|| SimError::UnknownPort(format!("{process}.{port}")))?;
-        if self.system.env_input(process, port).is_some() {
-            self.env_ops += 1;
-            self.env_items += n as u64;
-        }
-        self.channels.pop(place, n as usize).ok_or_else(|| {
-            SimError::Schedule(format!(
-                "schedule read {n} items from `{process}.{port}` but the buffer is empty"
-            ))
-        })
-    }
-
-    fn write_port(&mut self, process: &str, port: &str, values: &[i64]) -> Result<()> {
-        let place = self
-            .system
-            .port_place(process, port)
-            .ok_or_else(|| SimError::UnknownPort(format!("{process}.{port}")))?;
-        if self.system.env_output(process, port).is_some() {
-            self.env_ops += 1;
-            self.env_items += values.len() as u64;
-            for v in values {
-                self.report.record_output(process, port, *v);
-            }
-        } else {
-            self.channels.push(place, values);
-        }
-        Ok(())
-    }
-}
-
 struct SingleSim<'a> {
-    system: &'a LinkedSystem,
+    state: RunState<'a>,
     schedules: &'a [Schedule],
     config: &'a SingleTaskConfig,
-    envs: BTreeMap<String, ProcessEnv>,
-    channels: ChannelState,
     positions: Vec<NodeId>,
     report: SimReport,
     steps: u64,
 }
 
 impl<'a> SingleSim<'a> {
-    fn new(
-        system: &'a LinkedSystem,
-        schedules: &'a [Schedule],
-        config: &'a SingleTaskConfig,
-    ) -> Self {
-        let envs = system
-            .process_names
-            .iter()
-            .map(|name| {
-                let decls = system.declarations.get(name).cloned().unwrap_or_default();
-                (name.clone(), ProcessEnv::new(name.clone(), &decls))
-            })
-            .collect();
-        SingleSim {
-            system,
-            schedules,
-            config,
-            envs,
-            channels: ChannelState::for_system(system, None),
-            positions: schedules.iter().map(|s| s.root()).collect(),
-            report: SimReport::default(),
-            steps: 0,
-        }
-    }
-
-    fn run(&mut self, events: &[EnvEvent]) -> Result<()> {
-        self.run_init_code()?;
-        for event in events {
-            self.react(event)?;
-        }
-        Ok(())
-    }
-
     fn run_init_code(&mut self) -> Result<()> {
-        for process in &self.system.process_names.clone() {
-            let Some(init) = self.system.init_code.get(process).cloned() else {
+        let system = self.state.system();
+        for (process, name) in system.process_names.iter().enumerate() {
+            let Some(init) = system.init_code.get(name) else {
                 continue;
             };
             if init.is_empty() {
                 continue;
             }
             let mut counters = ExecCounters::default();
-            self.exec_in_process(process, &init, &mut counters)?;
-            self.charge(&counters, 0, 0);
+            self.state.exec(process, init, &mut counters)?;
+            self.charge(&counters, EnvTraffic::default());
         }
         Ok(())
     }
 
-    fn exec_in_process(
-        &mut self,
-        process: &str,
-        stmts: &[qss_flowc::Stmt],
-        counters: &mut ExecCounters,
-    ) -> Result<(u64, u64)> {
-        let mut env = self
-            .envs
-            .remove(process)
-            .ok_or_else(|| SimError::Schedule(format!("unknown process `{process}`")))?;
-        let mut io = IoCtx {
-            system: self.system,
-            channels: &mut self.channels,
-            report: &mut self.report,
-            env_items: 0,
-            env_ops: 0,
-        };
-        let result = env.exec_stmts(stmts, &mut io, counters);
-        let env_stats = (io.env_ops, io.env_items);
-        self.envs.insert(process.to_string(), env);
-        result?;
-        Ok(env_stats)
-    }
-
-    fn charge(&mut self, counters: &ExecCounters, env_ops: u64, env_items: u64) {
+    fn charge(&mut self, counters: &ExecCounters, env: EnvTraffic) {
         let cost = &self.config.cost;
-        let intra_items = counters.port_items.saturating_sub(env_items);
+        let intra_items = counters.port_items.saturating_sub(env.items);
         let cycles = counters.statements * cost.cycles_per_statement
             + counters.conditions * cost.cycles_per_condition
             + intra_items * cost.cycles_per_inline_item
-            + env_ops * cost.cycles_per_rtos_call
-            + env_items * cost.cycles_per_rtos_item;
+            + env.ops * cost.cycles_per_rtos_call
+            + env.items * cost.cycles_per_rtos_item;
         self.report.cycles += cycles;
         self.report.channel_ops += counters.port_ops;
     }
@@ -199,11 +106,7 @@ impl<'a> SingleSim<'a> {
     /// Reacts to one environment event by traversing the schedule of the
     /// corresponding uncontrollable source.
     fn react(&mut self, event: &EnvEvent) -> Result<()> {
-        let input = self
-            .system
-            .env_input(&event.process, &event.port)
-            .ok_or_else(|| SimError::UnknownPort(format!("{}.{}", event.process, event.port)))?
-            .clone();
+        let input = self.state.event_input(event)?;
         let index = self
             .schedules
             .iter()
@@ -215,13 +118,14 @@ impl<'a> SingleSim<'a> {
                 ))
             })?;
         // Latch the input values and charge the ISR entry.
-        let mut values = event.values.clone();
-        values.resize(input.rate as usize, 0);
-        self.channels.push(input.place, &values);
+        self.state
+            .channels
+            .push_padded(input.place, &event.values, input.rate as usize);
         self.report.cycles += self.config.cost.cycles_per_event;
         self.report.events_processed += 1;
 
         let schedule = &self.schedules[index];
+        let net = &self.state.system().net;
         let mut node = self.positions[index];
         // First edge: the source transition itself (no code attached).
         let (first, target) = schedule
@@ -237,7 +141,7 @@ impl<'a> SingleSim<'a> {
         self.report.transitions_fired += 1;
 
         // Traverse until the next await node.
-        while !schedule.is_await_node(&self.system.net, node) {
+        while !schedule.is_await_node(net, node) {
             self.steps += 1;
             if self.steps > self.config.max_steps {
                 return Err(SimError::StepBudgetExhausted(self.config.max_steps));
@@ -258,19 +162,15 @@ impl<'a> SingleSim<'a> {
     /// Resolves a data-dependent choice by evaluating the guards of the
     /// candidate transitions against the live process variables.
     fn resolve_choice(&self, edges: &[(TransitionId, NodeId)]) -> Result<(TransitionId, NodeId)> {
-        for (t, target) in edges {
-            let Some(code) = self.system.transition_code.get(t) else {
+        for &(t, target) in edges {
+            let Some((process, code)) = self.state.code(t) else {
                 continue;
             };
             let Some((expr, branch)) = &code.guard else {
                 continue;
             };
-            let env = self
-                .envs
-                .get(&code.process)
-                .ok_or_else(|| SimError::Schedule(format!("unknown process `{}`", code.process)))?;
-            if env.eval_guard(expr)? == *branch {
-                return Ok((*t, *target));
+            if self.state.env(process).eval_guard(expr)? == *branch {
+                return Ok((t, target));
             }
         }
         Err(SimError::Schedule(
@@ -280,7 +180,7 @@ impl<'a> SingleSim<'a> {
 
     fn execute_transition(&mut self, t: TransitionId) -> Result<()> {
         self.report.transitions_fired += 1;
-        let Some(code) = self.system.transition_code.get(&t).cloned() else {
+        let Some((process, code)) = self.state.code(t) else {
             // Environment source/sink transitions carry no code.
             return Ok(());
         };
@@ -288,9 +188,8 @@ impl<'a> SingleSim<'a> {
         if code.guard.is_some() {
             counters.conditions += 1;
         }
-        let (env_ops, env_items) =
-            self.exec_in_process(&code.process, &code.stmts, &mut counters)?;
-        self.charge(&counters, env_ops, env_items);
+        let env = self.state.exec(process, &code.stmts, &mut counters)?;
+        self.charge(&counters, env);
         Ok(())
     }
 }

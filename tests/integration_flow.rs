@@ -68,6 +68,39 @@ fn full_flow_on_branching_pipeline() {
 }
 
 #[test]
+fn overflowing_arithmetic_wraps_instead_of_panicking() {
+    // i64::MIN / -1, i64::MIN % -1 and -i64::MIN overflow. Like `+ - *`,
+    // both executors wrap them instead of aborting the build.
+    let sim = Pipeline::from_source(
+        "PROCESS div (In DPORT x, Out DPORT y) {
+             int v, q, r, n;
+             while (1) {
+                 READ_DATA(x, v, 1);
+                 q = (0 - 9223372036854775807 - 1) / v;
+                 r = (0 - 9223372036854775807 - 1) % v;
+                 n = -q;
+                 WRITE_DATA(y, q, 1);
+                 WRITE_DATA(y, r, 1);
+                 WRITE_DATA(y, n, 1);
+             }
+         }",
+    )
+    .unwrap()
+    .link()
+    .unwrap()
+    .schedule()
+    .unwrap()
+    .generate()
+    .unwrap()
+    .simulate(&[EnvEvent::new("div", "x", -1), EnvEvent::new("div", "x", 2)])
+    .unwrap();
+    let expected = [i64::MIN, 0, i64::MIN, i64::MIN / 2, 0, -(i64::MIN / 2)];
+    assert_eq!(sim.single.output("div", "y"), &expected);
+    assert_eq!(sim.multi.output("div", "y"), &expected);
+    assert!(sim.outputs_match);
+}
+
+#[test]
 fn pipeline_report_summarizes_the_run() {
     let task = collatz_task().unwrap();
     let events: Vec<EnvEvent> = [6i64, 7, 8, 9]
