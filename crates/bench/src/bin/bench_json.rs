@@ -23,15 +23,12 @@
 //! Run with `cargo run -p qss_bench --release --bin bench_json`.
 //! Set `QSS_BENCH_FAST=1` for a quick smoke run with fewer samples.
 
-use proptest::{Strategy, TestRng};
 use qss_bench::experiments::{divider_net, pfc_setup};
-use qss_bench::testgen::{build_random, hub_net_strategy, random_net_strategy, wide_net_strategy};
 use qss_core::{reference, ScheduleOptions, SearchBudget, SearchContext, TerminationKind};
 use qss_obs::{Observer, SpanId};
 use qss_petri::{
     p_invariant_basis, p_invariant_basis_dense, structural_report, structural_report_dense,
-    t_invariant_basis, t_invariant_basis_dense, EcsInfo, FxHashMap, KernelScratch, Marking,
-    MarkingStore, NetKernels, StructuralLimits,
+    t_invariant_basis, t_invariant_basis_dense, FxHashMap, Marking, MarkingStore, StructuralLimits,
 };
 use qss_sim::{
     pfc_events, pfc_system, run_multitask, run_singletask, CycleCostModel, MultiTaskConfig,
@@ -46,9 +43,6 @@ use std::time::{Duration, Instant};
 /// One measured case: the incremental engine against the oracle.
 struct CaseResult {
     name: String,
-    /// For `kernel/*` cases, which enabledness engines the two columns
-    /// ran (layout and cell width of the chunked side); `None` elsewhere.
-    kernel: Option<String>,
     best_ms: f64,
     median_ms: f64,
     reference_best_ms: f64,
@@ -160,25 +154,17 @@ fn main() {
         (3, 25)
     };
     let mut cases: Vec<CaseResult> = Vec::new();
-    let mut push_case_annotated =
-        |name: String,
-         kernel: Option<String>,
-         mut f: Box<dyn FnMut()>,
-         mut reference: Box<dyn FnMut()>| {
-            let (best_ms, median_ms) = best_and_median_ms(warmup, samples, &mut f);
-            let (reference_best_ms, reference_median_ms) =
-                best_and_median_ms(warmup, samples, &mut reference);
-            cases.push(CaseResult {
-                name,
-                kernel,
-                best_ms,
-                median_ms,
-                reference_best_ms,
-                reference_median_ms,
-            });
-        };
-    let mut push_case = |name: String, f: Box<dyn FnMut()>, reference: Box<dyn FnMut()>| {
-        push_case_annotated(name, None, f, reference);
+    let mut push_case = |name: String, mut f: Box<dyn FnMut()>, mut reference: Box<dyn FnMut()>| {
+        let (best_ms, median_ms) = best_and_median_ms(warmup, samples, &mut f);
+        let (reference_best_ms, reference_median_ms) =
+            best_and_median_ms(warmup, samples, &mut reference);
+        cases.push(CaseResult {
+            name,
+            best_ms,
+            median_ms,
+            reference_best_ms,
+            reference_median_ms,
+        });
     };
 
     for k in [4u32, 8, 12] {
@@ -449,76 +435,10 @@ fn main() {
     }
 
     {
-        // The enabledness-kernel sweeps: the chunked need-row kernels
-        // (`NetKernels::enabled_set_at`, bit-packed whole-net enabledness
-        // in wide compares) against the scalar per-arc walk
-        // (`is_enabled_at` per transition) on the same deterministic nets
-        // and the same synthetic slab rows. One case per testgen profile:
-        // `dense` (tiny strides, dense u32 rows), `wide` (medium strides,
-        // still dense) and `hub` (hundreds of places — past the dense
-        // row cap, so the sparse CSR fallback). The iteration counts keep
-        // each sample in comfortably-timeable territory across profiles.
-        for (profile, strategy, iters) in [
-            ("dense", random_net_strategy(), 400usize),
-            ("wide", wide_net_strategy(), 100),
-            ("hub", hub_net_strategy(), 25),
-        ] {
-            let mut rng = TestRng::new(&format!("bench-kernel-{profile}"));
-            let desc = strategy.generate(&mut rng);
-            let (net, _source) = build_random(&desc);
-            let ecs = EcsInfo::compute(&net);
-            let kernels = NetKernels::compile(&net, &ecs, None);
-            let stride = net.num_places();
-            let kernel_note = format!(
-                "chunked {} {:?} vs scalar per-arc",
-                if kernels.is_dense() {
-                    "dense"
-                } else {
-                    "sparse"
-                },
-                kernels.cell(),
-            );
-            // 256 deterministic slab rows with small counts, the regime
-            // the search actually sweeps.
-            let rows: Vec<u32> = (0..256 * stride)
-                .map(|_| (rng.next_u64() % 4) as u32)
-                .collect();
-            let (scalar_net, scalar_rows) = (net.clone(), rows.clone());
-            let mut scratch = KernelScratch::default();
-            push_case_annotated(
-                format!("kernel/enabled_sweep_{profile}"),
-                Some(kernel_note),
-                Box::new(move || {
-                    let mut enabled = 0usize;
-                    for _ in 0..iters {
-                        for row in rows.chunks_exact(stride) {
-                            enabled += kernels.enabled_set_at(row, &mut scratch).count();
-                        }
-                    }
-                    black_box(enabled);
-                }),
-                Box::new(move || {
-                    let mut enabled = 0usize;
-                    for _ in 0..iters {
-                        for row in scalar_rows.chunks_exact(stride) {
-                            for t in scalar_net.transition_ids() {
-                                if scalar_net.is_enabled_at(t, row) {
-                                    enabled += 1;
-                                }
-                            }
-                        }
-                    }
-                    black_box(enabled);
-                }),
-            );
-        }
-    }
-
-    {
-        // The observability tax, priced per request on three
-        // representative workloads: the divider search, the PFC search
-        // and the hub enabledness sweep. Each iteration wraps the
-        // workload in exactly the bookkeeping `qssd` pays per request —
+        // The observability tax, priced per request on two
+        // representative workloads: the divider search and the PFC
+        // search. Each iteration wraps the workload in exactly the
+        // bookkeeping `qssd` pays per request —
         // one clock read, one span begin/end pair and one histogram
         // record — against the bare workload as the reference column.
         // The `off` cases hold the disabled [`Observer`] (the promise is
@@ -546,25 +466,6 @@ fn main() {
                 );
             })
         };
-        let hub_work = || -> Box<dyn FnMut()> {
-            let mut rng = TestRng::new("bench-obs-hub");
-            let desc = hub_net_strategy().generate(&mut rng);
-            let (net, _source) = build_random(&desc);
-            let ecs = EcsInfo::compute(&net);
-            let kernels = NetKernels::compile(&net, &ecs, None);
-            let stride = net.num_places();
-            let rows: Vec<u32> = (0..256 * stride)
-                .map(|_| (rng.next_u64() % 4) as u32)
-                .collect();
-            let mut scratch = KernelScratch::default();
-            Box::new(move || {
-                let mut enabled = 0usize;
-                for row in rows.chunks_exact(stride) {
-                    enabled += kernels.enabled_set_at(row, &mut scratch).count();
-                }
-                black_box(enabled);
-            })
-        };
         let instrument = |observer: Observer, mut work: Box<dyn FnMut()>| -> Box<dyn FnMut()> {
             Box::new(move || {
                 let started = observer.now_micros();
@@ -576,10 +477,9 @@ fn main() {
             })
         };
         type WorkFactory<'a> = &'a dyn Fn() -> Box<dyn FnMut()>;
-        let workloads: [(&str, WorkFactory); 3] = [
+        let workloads: [(&str, WorkFactory); 2] = [
             ("divider_irrelevance_8", &divider_work),
             ("pfc_with_heuristics", &pfc_work),
-            ("hub_enabled_sweep", &hub_work),
         ];
         for (workload, factory) in workloads {
             for mode in ["off", "on"] {
@@ -587,9 +487,8 @@ fn main() {
                     "off" => Observer::disabled(),
                     _ => Observer::armed(4096),
                 };
-                push_case_annotated(
+                push_case(
                     format!("obs/overhead_{mode}/{workload}"),
-                    None,
                     instrument(observer, factory()),
                     factory(),
                 );
@@ -606,16 +505,10 @@ fn main() {
     json.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let speedup = case.reference_best_ms / case.best_ms;
-        let kernel = case
-            .kernel
-            .as_ref()
-            .map(|k| format!("\"kernel\": \"{k}\", "))
-            .unwrap_or_default();
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", {}\"best_ms\": {:.4}, \"median_ms\": {:.4}, \"reference_best_ms\": {:.4}, \"reference_median_ms\": {:.4}, \"speedup_vs_reference\": {:.2}}}",
+            "    {{\"name\": \"{}\", \"best_ms\": {:.4}, \"median_ms\": {:.4}, \"reference_best_ms\": {:.4}, \"reference_median_ms\": {:.4}, \"speedup_vs_reference\": {:.2}}}",
             case.name,
-            kernel,
             case.best_ms,
             case.median_ms,
             case.reference_best_ms,

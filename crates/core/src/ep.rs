@@ -48,8 +48,8 @@ use crate::schedule::{NodeId, Schedule};
 use crate::termination::{PathTracker, TerminationKind};
 use qss_flowc::LinkedSystem;
 use qss_petri::{
-    EcsId, EcsInfo, KernelKind, KernelScratch, Marking, MarkingId, MarkingStore, NetKernels,
-    PetriNet, PlaceId, StructuralReport, TransitionId, TransitionKind,
+    EcsId, EcsInfo, Marking, MarkingId, MarkingStore, PetriNet, PlaceId, StructuralReport,
+    TransitionId, TransitionKind,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -143,8 +143,8 @@ pub struct SearchStats {
 ///
 /// Where [`SearchStats`] describes the *result* (tree and schedule
 /// sizes), the profile describes the *work*: how many nodes the search
-/// expanded, where it pruned, which enabledness engine swept candidates
-/// and how often, and how the wall clock split across the phases
+/// expanded, where it pruned, how often it swept for enabled ECSs, and
+/// how the wall clock split across the phases
 /// (context build / greedy pass / exhaustive retry). Profiles of
 /// separate searches aggregate with [`SearchProfile::absorb`]; the
 /// system-level entry points return one profile spanning every source.
@@ -170,10 +170,12 @@ pub struct SearchProfile {
     /// Nodes cut by the termination criterion (irrelevance or place
     /// bounds).
     pub irrelevance_cuts: u64,
-    /// Candidate-ECS enabledness sweeps run by the scalar per-arc walk.
+    /// Candidate-ECS enabledness sweeps.
     pub ecs_sweeps_scalar: u64,
-    /// Candidate-ECS enabledness sweeps run by the chunked need-row
-    /// kernels.
+    /// Always 0: the search has one enabledness engine and counts every
+    /// sweep in `ecs_sweeps_scalar`. Kept so the serialized field set and
+    /// the benchmark ledger, which reads the sum of both, stay unchanged
+    /// until the ledger's next change.
     pub ecs_sweeps_chunked: u64,
     /// Cooperative budget checks charged (0 under an unlimited budget).
     pub budget_checks: u64,
@@ -217,8 +219,10 @@ impl SearchProfile {
             ("equal_ancestor_probes", self.equal_ancestor_probes),
             ("equal_ancestor_hits", self.equal_ancestor_hits),
             ("irrelevance_cuts", self.irrelevance_cuts),
-            ("ecs_sweeps_scalar", self.ecs_sweeps_scalar),
-            ("ecs_sweeps_chunked", self.ecs_sweeps_chunked),
+            (
+                "ecs_sweeps",
+                self.ecs_sweeps_scalar + self.ecs_sweeps_chunked,
+            ),
             ("budget_checks", self.budget_checks),
             ("exhaustive_retries", self.exhaustive_retries),
             ("context_build_micros", self.context_build_micros),
@@ -289,16 +293,6 @@ pub struct SearchContext {
     /// `None` for contexts built with [`SearchContext::new`], which keeps
     /// the analysis-off search byte-identical to the pre-analyzer engine.
     structural: Option<StructuralGate>,
-    /// Which enabledness engine searches on this context use (scalar
-    /// per-arc walk or the chunked need-row kernels). Resolved once at
-    /// construction from the `QSS_KERNEL` override.
-    kernel: KernelKind,
-    /// The compiled need-row kernels ([`NetKernels`]): per-transition
-    /// lower-bound rows aligned to the slab stride (or a sparse CSR
-    /// fallback for very wide nets) plus ECS representatives, with cell
-    /// width narrowed to u8/u16 when a structural report proved that
-    /// every reachable count fits.
-    kernels: NetKernels,
     /// Wall time the per-net analyses took, reported as the
     /// `context_build_micros` phase of a [`SearchProfile`].
     build_micros: u64,
@@ -319,34 +313,19 @@ struct StructuralGate {
 }
 
 impl SearchContext {
-    /// Computes the per-net analyses (ECS partition, T-invariant basis,
-    /// enabledness kernels) and seeds the per-net marking store.
-    ///
-    /// The enabledness engine defaults to the chunked need-row kernels;
-    /// the `QSS_KERNEL` environment variable (`scalar` or `chunked`)
-    /// overrides it process-wide — the differential CI jobs force both
-    /// settings to pin the engines byte-identical.
+    /// Computes the per-net analyses (ECS partition, T-invariant basis)
+    /// and seeds the per-net marking store.
     pub fn new(net: &PetriNet) -> Self {
-        SearchContext::with_kernel(net, KernelKind::resolved(KernelKind::Chunked))
-    }
-
-    /// Like [`SearchContext::new`] but with an explicit enabledness
-    /// engine, ignoring the `QSS_KERNEL` override — the in-process A/B
-    /// tests and benches use this to compare engines side by side.
-    pub fn with_kernel(net: &PetriNet, kernel: KernelKind) -> Self {
         let build_start = std::time::Instant::now();
         let mut base_store = MarkingStore::with_stride(net.num_places());
         let _ = base_store.intern(net.initial_marking().as_slice());
         let ecs = EcsInfo::compute(net);
-        let kernels = NetKernels::compile(net, &ecs, None);
         let sorter = EcsSorter::new(net);
         SearchContext {
             ecs,
             sorter,
             base_store,
             structural: None,
-            kernel,
-            kernels,
             build_micros: build_start.elapsed().as_micros() as u64,
         }
     }
@@ -363,8 +342,7 @@ impl SearchContext {
     ///   [`TerminationKind::PlaceBounds`] via
     ///   [`SearchContext::pre_armed_place_bounds`], and the per-net
     ///   maximum bound is recorded
-    ///   ([`SearchContext::structural_max_bound`]) so a narrow-cell
-    ///   marking slab can later pick u8/u16 cells.
+    ///   ([`SearchContext::structural_max_bound`]).
     ///
     /// `report` must come from the net this context is built for.
     pub fn with_structural(net: &PetriNet, report: &StructuralReport) -> Self {
@@ -379,9 +357,6 @@ impl SearchContext {
             dead,
             max_marking_bound: report.max_marking_bound,
         });
-        // Proven place bounds license narrow kernel cells: recompile the
-        // need rows so a fully-bounded net gets u8/u16 lanes.
-        context.kernels = NetKernels::compile(net, &context.ecs, report.max_marking_bound);
         context.build_micros = build_start.elapsed().as_micros() as u64;
         context
     }
@@ -389,17 +364,6 @@ impl SearchContext {
     /// Wall time the per-net analyses behind this context took to build.
     pub fn build_micros(&self) -> u64 {
         self.build_micros
-    }
-
-    /// The enabledness engine searches on this context use.
-    pub fn kernel_kind(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// The compiled enabledness kernels of the net (shared, immutable;
-    /// callers bring their own [`KernelScratch`]).
-    pub fn kernels(&self) -> &NetKernels {
-        &self.kernels
     }
 
     /// The maximum proven structural place bound, if the adopted report
@@ -542,9 +506,6 @@ impl SearchContext {
                 budget_stop: None,
                 combo_buf: Vec::new(),
                 promising_buf: Vec::new(),
-                kernel: self.kernel,
-                kernels: &self.kernels,
-                kernel_scratch: KernelScratch::default(),
                 ecs_pool: Vec::new(),
                 profile: SearchProfile::default(),
             };
@@ -628,26 +589,14 @@ pub fn schedule_system(
     // One context serves every source: the ECS partition and T-invariant
     // basis are per-net, not per-source.
     let context = SearchContext::new(&system.net);
-    schedule_system_with_context(system, &context, options)
+    schedule_system_with_context_budgeted(system, &context, options, &SearchBudget::unlimited())
 }
 
 /// Like [`schedule_system`], but reuses a prebuilt [`SearchContext`]
-/// (which must have been computed from `system.net`).
-///
-/// # Errors
-/// Same contract as [`schedule_system`].
-pub fn schedule_system_with_context(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-) -> Result<SystemSchedules> {
-    schedule_system_with_context_budgeted(system, context, options, &SearchBudget::unlimited())
-}
-
-/// Like [`schedule_system_with_context`], but every per-source search
-/// runs under the given cooperative [`SearchBudget`]. The deadline (an
-/// absolute instant) bounds the *combined* wall clock of all sources;
-/// the step cap is charged per source.
+/// (which must have been computed from `system.net`), and every
+/// per-source search runs under the given cooperative [`SearchBudget`].
+/// The deadline (an absolute instant) bounds the *combined* wall clock of
+/// all sources; the step cap is charged per source.
 ///
 /// # Errors
 /// The contract of [`schedule_system`] plus
@@ -706,29 +655,18 @@ pub fn schedule_system_parallel(
     options: &ScheduleOptions,
 ) -> Result<SystemSchedules> {
     let context = SearchContext::new(&system.net);
-    schedule_system_parallel_with_context(system, &context, options)
-}
-
-/// Like [`schedule_system_parallel`], but reuses a prebuilt
-/// [`SearchContext`] (which must have been computed from `system.net`).
-///
-/// # Errors
-/// Same contract as [`schedule_system`].
-pub fn schedule_system_parallel_with_context(
-    system: &LinkedSystem,
-    context: &SearchContext,
-    options: &ScheduleOptions,
-) -> Result<SystemSchedules> {
     schedule_system_parallel_with_context_budgeted(
         system,
-        context,
+        &context,
         options,
         &SearchBudget::unlimited(),
     )
 }
 
-/// Like [`schedule_system_parallel_with_context`], but every per-source
-/// search runs under the given cooperative [`SearchBudget`] (see
+/// Like [`schedule_system_parallel`], but reuses a prebuilt
+/// [`SearchContext`] (which must have been computed from `system.net`),
+/// and every per-source search runs under the given cooperative
+/// [`SearchBudget`] (see
 /// [`schedule_system_with_context_budgeted`] for the deadline/step-cap
 /// semantics; the absolute deadline naturally spans the fanned-out
 /// searches too).
@@ -862,14 +800,6 @@ struct Search<'a> {
     /// nodes so the heuristic allocates nothing on the hot path.
     combo_buf: Vec<u64>,
     promising_buf: Vec<u64>,
-    /// Which enabledness engine this search runs (from the context).
-    kernel: KernelKind,
-    /// The context's compiled need-row kernels.
-    kernels: &'a NetKernels,
-    /// Per-search kernel scratch (narrowed counts row, bit-set); the
-    /// context's kernels are shared across threads, so the mutable state
-    /// lives here.
-    kernel_scratch: KernelScratch,
     /// Per-depth candidate-ECS buffers, recycled across the recursion so
     /// the per-node ECS sweep allocates nothing once the pool has warmed
     /// up. Indexed by node depth: the DFS has at most one live frame per
@@ -946,24 +876,14 @@ impl<'a> Search<'a> {
     /// Enabled ECSs at the node currently carried by the tracker, filtered
     /// by the single-source constraint and ordered by the search
     /// heuristics. Fills the caller's reused buffer — the whole sweep is
-    /// allocation-free once the scratch has warmed up.
+    /// allocation-free once the buffer has warmed up.
     ///
-    /// The scalar and chunked engines agree on every marking (the kernel
-    /// property suite pins this), and the filter-and-sort below is shared,
-    /// so the two engines explore byte-identical trees.
+    /// Enabledness is tested on each ECS's first member only: the members
+    /// of an ECS consume the same tokens, so they are enabled together.
     fn fill_candidate_ecs(&mut self, candidates: &mut Vec<EcsId>) {
-        let marking = self.tracker.marking().as_slice();
-        match self.kernel {
-            KernelKind::Scalar => {
-                self.profile.ecs_sweeps_scalar += 1;
-                self.ecs.enabled_ecs_into(self.net, marking, candidates)
-            }
-            KernelKind::Chunked => {
-                self.profile.ecs_sweeps_chunked += 1;
-                self.kernels
-                    .enabled_ecs_into(marking, &mut self.kernel_scratch, candidates)
-            }
-        }
+        self.profile.ecs_sweeps_scalar += 1;
+        self.ecs
+            .enabled_ecs_into(self.net, self.tracker.marking().as_slice(), candidates);
         if self.options.single_source {
             // Exclude other uncontrollable sources (Sec. 5.5.1).
             candidates.retain(|e| {
@@ -1550,5 +1470,29 @@ mod tests {
             .find_schedule_with_stats_budgeted(&net, a, &ScheduleOptions::default(), &budget)
             .unwrap();
         s.validate(&net).unwrap();
+    }
+
+    #[test]
+    fn every_ecs_sweep_is_counted_in_one_profile_row() {
+        let net = divider_chain(2, 3);
+        let a = net.transition_by_name("a").unwrap();
+        let mut profile = SearchProfile::default();
+        SearchContext::new(&net)
+            .find_schedule_profiled(
+                &net,
+                a,
+                &ScheduleOptions::default(),
+                &SearchBudget::unlimited(),
+                &mut profile,
+            )
+            .unwrap();
+        assert!(profile.ecs_sweeps_scalar > 0);
+        assert_eq!(profile.ecs_sweeps_chunked, 0);
+        let sweeps: Vec<_> = profile
+            .rows()
+            .into_iter()
+            .filter(|(label, _)| label.starts_with("ecs_sweeps"))
+            .collect();
+        assert_eq!(sweeps, vec![("ecs_sweeps", profile.ecs_sweeps_scalar)]);
     }
 }

@@ -56,14 +56,12 @@ pub mod termination;
 pub use budget::{BudgetChecker, BudgetConfig, BudgetStop, SearchBudget, CHECK_INTERVAL};
 pub use ep::{
     find_schedule, find_schedule_with_stats, schedule_system, schedule_system_parallel,
-    schedule_system_parallel_profiled, schedule_system_parallel_with_context,
-    schedule_system_parallel_with_context_budgeted, schedule_system_profiled,
-    schedule_system_with_context, schedule_system_with_context_budgeted, ScheduleOptions,
+    schedule_system_parallel_profiled, schedule_system_parallel_with_context_budgeted,
+    schedule_system_profiled, schedule_system_with_context_budgeted, ScheduleOptions,
     SearchContext, SearchProfile, SearchStats, SystemSchedules, SEARCH_THREAD_STACK_BYTES,
 };
 pub use error::{Result, ScheduleError};
 pub use independence::{are_independent, channel_bounds, is_independent_set};
-pub use qss_petri::{KernelKind, KernelScratch, NetKernels};
 pub use run::{execute_run, RunTrace};
 pub use schedule::{NodeId, Schedule, ScheduleNode};
 pub use termination::{PathTracker, Termination, TerminationKind};

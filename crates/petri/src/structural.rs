@@ -138,8 +138,8 @@ pub struct StructuralReport {
     /// completion; only then can `internally_unbounded` be set.
     pub internal_complete: bool,
     /// The maximum proven bound over all places, present only when
-    /// *every* place has a proven bound — the value a narrow-cell marking
-    /// slab (u8/u16 rows) would size its cells by.
+    /// *every* place has a proven bound — the uniform place bound a
+    /// search can pre-arm its termination check with.
     pub max_marking_bound: Option<u32>,
     /// Transitions that provably can never fire, in id order.
     pub dead_transitions: Vec<TransitionId>,

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use qss_petri::{
     incidence_matrix, p_invariant_basis, p_invariant_basis_dense, place_degree, t_invariant_basis,
-    t_invariant_basis_dense, CellWidth, EcsInfo, KernelScratch, Marking, MarkingStore, NetBuilder,
-    NetKernels, PetriNet, PlaceId, ReachabilityGraph, ReachabilityLimits, TransitionKind,
+    t_invariant_basis_dense, EcsInfo, Marking, MarkingStore, NetBuilder, PetriNet, PlaceId,
+    ReachabilityGraph, ReachabilityLimits, TransitionKind,
 };
 
 /// A random connected net description: `places[p]` is the initial token
@@ -46,168 +46,6 @@ fn build(net: &RandomNet) -> PetriNet {
     b.build().expect("random net builds")
 }
 
-/// Arc weights straddling the `u8`/`u16` cell boundaries, so narrow need
-/// rows are exercised exactly where a narrowing bug would bite.
-const KERNEL_WEIGHTS: &[u32] = &[1, 2, 3, 254, 255, 256, 257, 65534, 65535, 65536, 65537];
-
-/// Token counts straddling the same boundaries (plus the saturation
-/// extremes): the saturating count conversion must keep `count >= need`
-/// exact at 254/255/256, 65535/65536 and `u32::MAX`.
-const KERNEL_COUNTS: &[u32] = &[
-    0,
-    1,
-    2,
-    253,
-    254,
-    255,
-    256,
-    257,
-    65534,
-    65535,
-    65536,
-    65537,
-    1 << 20,
-    u32::MAX,
-];
-
-/// A net with boundary-value weights plus a batch of boundary-value
-/// counts rows to evaluate enabledness on.
-#[derive(Debug, Clone)]
-struct KernelCase {
-    net: RandomNet,
-    rows: Vec<Vec<u32>>,
-}
-
-/// Generates [`KernelCase`]s with `places`/`trans` drawn from the given
-/// ranges. With `duplicate_presets`, a third of the transitions copy the
-/// previous transition's input arc exactly, forming multi-member ECSs the
-/// representative-based ECS sweep must handle (the hub-net shape).
-fn kernel_case_strategy(
-    places: std::ops::Range<usize>,
-    trans: std::ops::Range<usize>,
-    duplicate_presets: bool,
-) -> impl Strategy<Value = KernelCase> {
-    (places, trans).prop_flat_map(move |(num_places, num_transitions)| {
-        let initial = prop::collection::vec(0usize..KERNEL_COUNTS.len(), num_places);
-        let arcs = prop::collection::vec(
-            (
-                0..num_places,
-                0..num_places,
-                0usize..KERNEL_WEIGHTS.len(),
-                1u32..3,
-                0u32..3,
-            ),
-            num_transitions,
-        );
-        let rows = prop::collection::vec(
-            prop::collection::vec(0usize..KERNEL_COUNTS.len(), num_places),
-            1usize..5,
-        );
-        (initial, arcs, rows).prop_map(move |(initial, arcs, rows)| {
-            let mut built: Vec<(usize, usize, u32, u32)> = Vec::with_capacity(arcs.len());
-            for (from, to, weight_index, produce, dup) in arcs {
-                let (from, consume) = match built.last() {
-                    Some(&(prev_from, _, prev_consume, _)) if duplicate_presets && dup == 0 => {
-                        (prev_from, prev_consume)
-                    }
-                    _ => (from, KERNEL_WEIGHTS[weight_index]),
-                };
-                built.push((from, to, consume, produce));
-            }
-            KernelCase {
-                net: RandomNet {
-                    initial: initial.into_iter().map(|i| KERNEL_COUNTS[i]).collect(),
-                    arcs: built,
-                },
-                rows: rows
-                    .into_iter()
-                    .map(|row| row.into_iter().map(|i| KERNEL_COUNTS[i]).collect())
-                    .collect(),
-            }
-        })
-    })
-}
-
-/// Checks every compiled kernel variant (auto-selected widths for a range
-/// of claimed bounds, plus every forced width/layout the weights admit)
-/// against the scalar `is_enabled_at` oracle on every row of the case.
-/// Returns a description of the first mismatch.
-fn kernel_mismatch(case: &KernelCase) -> Option<String> {
-    let net = build(&case.net);
-    let ecs = EcsInfo::compute(&net);
-    let max_weight = case.net.arcs.iter().map(|a| a.2).max().unwrap_or(0);
-    let mut variants = vec![
-        NetKernels::compile(&net, &ecs, None),
-        NetKernels::compile(&net, &ecs, Some(1)),
-        NetKernels::compile(&net, &ecs, Some(255)),
-        NetKernels::compile(&net, &ecs, Some(65535)),
-        NetKernels::compile(&net, &ecs, Some(u32::MAX)),
-    ];
-    for cell in [CellWidth::U8, CellWidth::U16, CellWidth::U32] {
-        if max_weight <= cell.max() {
-            for dense in [true, false] {
-                variants.push(NetKernels::compile_forced(&net, &ecs, cell, dense));
-            }
-        }
-    }
-    let mut rows = case.rows.clone();
-    rows.push(case.net.initial.clone());
-    let mut scratch = KernelScratch::default();
-    let mut enabled_ecs = Vec::new();
-    for kernels in &variants {
-        let shape = format!("{:?}/dense={}", kernels.cell(), kernels.is_dense());
-        for row in &rows {
-            let set = kernels.enabled_set_at(row, &mut scratch);
-            for t in net.transition_ids() {
-                let scalar = net.is_enabled_at(t, row);
-                if set.contains(t) != scalar {
-                    return Some(format!(
-                        "enabled_set_at disagrees on {t} ({shape}): {row:?}"
-                    ));
-                }
-                if kernels.is_enabled_at(t, row) != scalar {
-                    return Some(format!("is_enabled_at disagrees on {t} ({shape}): {row:?}"));
-                }
-            }
-            kernels.enabled_ecs_into(row, &mut scratch, &mut enabled_ecs);
-            if enabled_ecs != ecs.enabled_ecs_at(&net, row) {
-                return Some(format!("enabled_ecs_into disagrees ({shape}): {row:?}"));
-            }
-        }
-    }
-    None
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Chunked/bit-packed enabledness equals the scalar per-arc walk on
-    /// small densely connected nets, across every cell width and layout,
-    /// at the u8/u16 narrowing boundaries.
-    #[test]
-    fn kernels_match_scalar_on_dense_nets(case in kernel_case_strategy(2..7, 1..8, false)) {
-        let mismatch = kernel_mismatch(&case);
-        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
-    }
-
-    /// Same equivalence on wide nets whose u32 need rows straddle the
-    /// dense-row byte cap (the dense/sparse auto-selection boundary).
-    #[test]
-    fn kernels_match_scalar_on_wide_nets(case in kernel_case_strategy(40..81, 3..11, false)) {
-        let mismatch = kernel_mismatch(&case);
-        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
-    }
-
-    /// Same equivalence on hub-shaped nets (hundreds of places, duplicated
-    /// presets forming multi-member ECSs): the sparse CSR fallback plus
-    /// the representative-based ECS sweep.
-    #[test]
-    fn kernels_match_scalar_on_hub_nets(case in kernel_case_strategy(100..201, 8..25, true)) {
-        let mismatch = kernel_mismatch(&case);
-        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -242,7 +80,9 @@ proptest! {
     }
 
     /// Transitions in the same ECS have identical presets and identical
-    /// enabling at every marking of the bounded reachability graph.
+    /// enabling at every marking of the bounded reachability graph. The
+    /// schedule search's enabledness sweep tests only each ECS's first
+    /// member and relies on this.
     #[test]
     fn ecs_members_enable_together(desc in random_net_strategy()) {
         let net = build(&desc);

@@ -6,23 +6,15 @@
 //! across fixed paper fixtures, the divider family, the PFC case study
 //! and randomly generated nets (the dense default profile, the `wide`
 //! many-places/sparse-tokens profile that stresses the flat marking slab,
-//! and the `hub` hundreds-of-places profile that pushes the enabledness
-//! kernels into their sparse fallback).
-//!
-//! The suite also has a **kernel axis**: the scalar per-arc enabledness
-//! walk and the chunked need-row kernels (`KernelKind`) must explore
-//! byte-identical trees. In-process, `kernel_axis_agrees_on_all_profiles`
-//! pins the two engines against each other explicitly; in CI, the whole
-//! suite runs once with `QSS_KERNEL=scalar` and once with
-//! `QSS_KERNEL=chunked`, so every engine-vs-oracle case is exercised
-//! under both kernels at the release-job net count.
+//! and the `hub` hundreds-of-places profile with high-fan-in hubs and
+//! duplicated presets).
 
 use proptest::prelude::*;
 use qss_bench::experiments::divider_net;
 use qss_bench::testgen::{build_random, hub_net_strategy, random_net_strategy, wide_net_strategy};
 use qss_core::{
-    channel_bounds, find_schedule_with_stats, reference, KernelKind, ScheduleError,
-    ScheduleOptions, SearchContext, TerminationKind,
+    channel_bounds, find_schedule_with_stats, reference, ScheduleError, ScheduleOptions,
+    SearchContext, TerminationKind,
 };
 use qss_petri::{
     structural_report, NetBuilder, PetriNet, StructuralLimits, TransitionId, TransitionKind,
@@ -79,22 +71,6 @@ fn assert_engines_agree_all_profiles(net: &PetriNet, source: TransitionId) {
     for options in option_profiles() {
         assert_engines_agree(net, source, &options);
     }
-}
-
-/// Runs the incremental engine once per enabledness kernel and asserts
-/// byte-identical outcomes (schedules, stats, errors) — the in-process
-/// half of the kernel axis, independent of the `QSS_KERNEL` override.
-fn assert_kernels_agree(net: &PetriNet, source: TransitionId, options: &ScheduleOptions) {
-    let scalar = SearchContext::with_kernel(net, KernelKind::Scalar)
-        .find_schedule_with_stats(net, source, options);
-    let chunked = SearchContext::with_kernel(net, KernelKind::Chunked)
-        .find_schedule_with_stats(net, source, options);
-    assert_eq!(
-        scalar,
-        chunked,
-        "scalar and chunked kernels diverge on {}",
-        net.name()
-    );
 }
 
 /// The Figure 8(a) net of the paper.
@@ -224,35 +200,15 @@ proptest! {
     }
 
     /// The `hub` testgen profile: hundreds of places, high-fan-in hubs,
-    /// duplicated presets nesting choices into multi-member ECSs. Rows
-    /// this wide put the chunked kernels into their sparse CSR fallback;
-    /// the oracle pays O(depth × places) per node on them, so the node
-    /// budget is tighter than the other generative suites.
+    /// duplicated presets nesting choices into multi-member ECSs. The
+    /// oracle pays O(depth × places) per node on rows this wide, so the
+    /// node budget is tighter than the other generative suites.
     #[test]
     fn engines_agree_on_hub_nets(desc in hub_net_strategy()) {
         let (net, source) = build_random(&desc);
         for base in option_profiles() {
             let opts = ScheduleOptions { max_nodes: 800, ..base };
             assert_engines_agree(&net, source, &opts);
-        }
-    }
-
-    /// The kernel axis, pinned in-process: the scalar per-arc walk and
-    /// the chunked need-row kernels reach byte-identical outcomes on all
-    /// three net profiles under every option profile, regardless of what
-    /// `QSS_KERNEL` says (the contexts are built with explicit kinds).
-    #[test]
-    fn kernel_axis_agrees_on_all_profiles(
-        dense in random_net_strategy(),
-        wide in wide_net_strategy(),
-        hub in hub_net_strategy(),
-    ) {
-        for (desc, max_nodes) in [(&dense, 3_000), (&wide, 3_000), (&hub, 800)] {
-            let (net, source) = build_random(desc);
-            for base in option_profiles() {
-                let opts = ScheduleOptions { max_nodes, ..base };
-                assert_kernels_agree(&net, source, &opts);
-            }
         }
     }
 
